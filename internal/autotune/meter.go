@@ -6,35 +6,20 @@ import (
 	"repro/internal/core"
 )
 
-// Meter is a per-run backend wrapper measuring the raw material of an
-// Observation: busy seconds per side and the link's bytes and seconds. It
-// is the calibrator's tap on the signals the executors already emit —
-// batch completion timing and transfer sizes — composed by the serving
-// layer inside the per-attempt backend wrapper (outermost, so it accounts
-// the attempt exactly as driven). The mutex is required because a native
-// backend completes batches on many goroutines.
+// Meter accumulates the raw material of one attempt's Observation: busy
+// seconds per side and the link's bytes and seconds. It is the
+// calibrator's tap on the signals the executors already emit — batch
+// completion timing and transfer sizes — attached by the serving layer as
+// a hook set (Hooks), so it times exactly what the metrics and the tracer
+// time. The mutex is required because a native backend completes batches
+// on many goroutines.
 type Meter struct {
-	inner core.Backend
-	cpu   *meterExec
-	gpu   *meterExec
-
-	mu        sync.Mutex
-	xferBytes int64
-	xferSec   float64
-	xferN     int
+	mu sync.Mutex
+	s  Sample
 }
 
-var _ core.Backend = (*Meter)(nil)
-
-// NewMeter wraps be for one attempt's measurement.
-func NewMeter(be core.Backend) *Meter {
-	m := &Meter{inner: be}
-	m.cpu = &meterExec{m: m, inner: be.CPU()}
-	if g := be.GPU(); g != nil {
-		m.gpu = &meterExec{m: m, inner: g}
-	}
-	return m
-}
+// NewMeter returns an empty meter for one attempt's measurement.
+func NewMeter() *Meter { return &Meter{} }
 
 // Sample is the meter's aggregated measurement.
 type Sample struct {
@@ -45,131 +30,41 @@ type Sample struct {
 	CPUBatches, GPUBatches int
 }
 
+// Hooks returns the hook set feeding the meter; attach it with
+// core.WithHooks.
+func (m *Meter) Hooks() core.Hooks {
+	return core.Hooks{
+		Batch: func(gpu bool, _ core.Batch, start, end float64) {
+			m.mu.Lock()
+			if gpu {
+				m.s.GPUSeconds += end - start
+				m.s.GPUBatches++
+			} else {
+				m.s.CPUSeconds += end - start
+				m.s.CPUBatches++
+			}
+			m.mu.Unlock()
+		},
+		Transfer: func(_ bool, n int64, start, end float64) {
+			m.mu.Lock()
+			m.s.TransferBytes += n
+			m.s.TransferSeconds += end - start
+			m.s.Transfers++
+			m.mu.Unlock()
+		},
+	}
+}
+
 // Snapshot returns the accumulated measurement.
 func (m *Meter) Snapshot() Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Sample{TransferBytes: m.xferBytes, TransferSeconds: m.xferSec, Transfers: m.xferN}
-	s.CPUSeconds, s.CPUBatches = m.cpu.sec, m.cpu.n
-	if m.gpu != nil {
-		s.GPUSeconds, s.GPUBatches = m.gpu.sec, m.gpu.n
-	}
-	return s
+	return m.s
 }
 
-// Empty reports that the meter saw no work — the attempt bypassed it (a
-// job's own backend wrapper replaced the server's), so there is nothing to
+// Empty reports that the meter saw no work, so there is nothing to
 // calibrate from.
 func (m *Meter) Empty() bool {
 	s := m.Snapshot()
 	return s.CPUBatches == 0 && s.GPUBatches == 0 && s.Transfers == 0
-}
-
-// CPU implements core.Backend.
-func (m *Meter) CPU() core.LevelExecutor { return m.cpu }
-
-// GPU implements core.Backend.
-func (m *Meter) GPU() core.LevelExecutor {
-	if m.gpu == nil {
-		return nil
-	}
-	return m.gpu
-}
-
-// GPUGamma implements core.Backend.
-func (m *Meter) GPUGamma() float64 { return m.inner.GPUGamma() }
-
-// TransferToGPU implements core.Backend.
-func (m *Meter) TransferToGPU(n int64, done func()) {
-	start := m.inner.Now()
-	m.inner.TransferToGPU(n, func() {
-		m.record(n, m.inner.Now()-start)
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// TransferToCPU implements core.Backend.
-func (m *Meter) TransferToCPU(n int64, done func()) {
-	start := m.inner.Now()
-	m.inner.TransferToCPU(n, func() {
-		m.record(n, m.inner.Now()-start)
-		if done != nil {
-			done()
-		}
-	})
-}
-
-func (m *Meter) record(n int64, secs float64) {
-	m.mu.Lock()
-	m.xferBytes += n
-	m.xferSec += secs
-	m.xferN++
-	m.mu.Unlock()
-}
-
-// Now implements core.Backend.
-func (m *Meter) Now() float64 { return m.inner.Now() }
-
-// Wait implements core.Backend.
-func (m *Meter) Wait() { m.inner.Wait() }
-
-// Unwrap implements core.Unwrapper so capability probes (segment
-// allocation) reach the wrapped backend.
-func (m *Meter) Unwrap() core.Backend { return m.inner }
-
-// Autonomous forwards the wrapped backend's marker.
-func (m *Meter) Autonomous() bool {
-	a, ok := m.inner.(core.Autonomous)
-	return ok && a.Autonomous()
-}
-
-// Closed forwards the wrapped backend's Closer state.
-func (m *Meter) Closed() bool {
-	c, ok := m.inner.(core.Closer)
-	return ok && c.Closed()
-}
-
-// Fault forwards the wrapped backend's Faulter state, so a device fault
-// recorded beneath the meter still reaches the executor's settlement.
-func (m *Meter) Fault() error {
-	if f, ok := m.inner.(core.Faulter); ok {
-		return f.Fault()
-	}
-	return nil
-}
-
-// meterExec accounts one side's batch completions.
-type meterExec struct {
-	m     *Meter
-	inner core.LevelExecutor
-	sec   float64 // guarded by m.mu
-	n     int     // guarded by m.mu
-}
-
-var _ core.LevelExecutor = (*meterExec)(nil)
-
-// Parallelism implements core.LevelExecutor.
-func (e *meterExec) Parallelism() int { return e.inner.Parallelism() }
-
-// Submit implements core.LevelExecutor.
-func (e *meterExec) Submit(b core.Batch, done func()) {
-	if b.Empty() {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	start := e.m.inner.Now()
-	e.inner.Submit(b, func() {
-		d := e.m.inner.Now() - start
-		e.m.mu.Lock()
-		e.sec += d
-		e.n++
-		e.m.mu.Unlock()
-		if done != nil {
-			done()
-		}
-	})
 }

@@ -67,13 +67,14 @@ type Closer interface {
 	Closed() bool
 }
 
-// Faulter is implemented by backend layers that can report a device fault
-// observed while a run was in flight — the fault-injection wrapper of
-// internal/faults, or a real device adapter surfacing asynchronous launch
-// errors. Executors consult it when the run's chain completes: a non-nil
-// fault marks the Report partial and classifies the run's error under
-// dcerr.ErrDeviceFault, so the serving layer's retry and fallback policies
-// can re-divide the work instead of returning corrupt results.
+// Faulter is implemented by backends that can report a device fault
+// observed while a run was in flight — the hook interposer, relaying a
+// hook set's fault (the injector of internal/faults), or a real device
+// adapter surfacing asynchronous launch errors. Executors consult it when
+// the run's chain completes: a non-nil fault marks the Report partial and
+// classifies the run's error under dcerr.ErrDeviceFault, so the serving
+// layer's retry and fallback policies can re-divide the work instead of
+// returning corrupt results.
 type Faulter interface {
 	// Fault returns the first device fault observed during the run, or nil.
 	Fault() error
@@ -106,19 +107,6 @@ func checkOpen(be Backend) error {
 		return fmt.Errorf("core: %w", dcerr.ErrBackendClosed)
 	}
 	return nil
-}
-
-// instrument applies the run's observability layers to the backend: first
-// the user wrapper (tracing), then — outermost, so it accounts the run
-// exactly as driven — the metrics meter.
-func instrument(be Backend, cfg *RunConfig) Backend {
-	if cfg.Wrap != nil {
-		be = cfg.Wrap(be)
-	}
-	if cfg.Metrics != nil {
-		be = meter(be, cfg.Metrics)
-	}
-	return be
 }
 
 // atLevel stamps the batch with its recursion level for observability
@@ -220,15 +208,13 @@ func finish(alg Alg) {
 // settle finalizes a report after its chain completed: stamps the makespan,
 // runs the Finish hook (only for complete, fault-free runs — a partial
 // result is not valid data), applies observers, and builds the cancellation
-// or device-fault error. A device fault recorded by a Faulter layer takes
+// or device-fault error. A device fault recorded by a Faulter takes
 // precedence over cancellation: the fault is the more specific cause, and
 // its error already classifies under dcerr.ErrDeviceFault.
 func settle(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, rep *Report, start float64, canceled bool) error {
 	rep.Seconds = be.Now() - start
 	rep.AutoStrategy = cfg.AutoStrategy
-	if mb, ok := be.(*meteredBackend); ok {
-		mb.finish(rep.Seconds)
-	}
+	settleMeter(be, rep.Seconds)
 	var err error
 	switch fault := deviceFault(be); {
 	case fault != nil:
@@ -362,7 +348,7 @@ func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover in
 	// when the backend pools device memory (released after the chain, so
 	// the next same-shape run reuses the residency).
 	bytes := alg.GPUBytes(x, 0, TasksAtLevel(a, x))
-	sa := segmentAllocator(be)
+	sa, _ := be.(SegmentAllocator)
 	var seg *Segment
 	defer func() { seg.Release() }()
 	if sa != nil {
@@ -504,7 +490,7 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 	defer func() { putSteps(gpuChain) }()
 	var gpuDeviceDone float64
 	tr, _ := alg.(Transformable)
-	sa := segmentAllocator(be)
+	sa, _ := be.(SegmentAllocator)
 	var seg *Segment
 	defer func() { seg.Release() }()
 	if cCount < width {
@@ -617,7 +603,7 @@ func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) 
 	steps := getSteps()
 	defer func() { putSteps(steps) }()
 	bytes := alg.GPUBytes(0, 0, 1)
-	sa := segmentAllocator(be)
+	sa, _ := be.(SegmentAllocator)
 	var seg *Segment
 	defer func() { seg.Release() }()
 	if sa != nil {

@@ -110,7 +110,7 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	// chunk's upload and released as its result leaves the device, so the
 	// next fused run of the same shape reuses the device residency
 	// instead of re-staging per group.
-	sa := segmentAllocator(be)
+	sa, _ := be.(SegmentAllocator)
 	segs := make([]*Segment, n)
 	defer func() {
 		// Safety net for canceled runs; Release is idempotent.
@@ -314,9 +314,7 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	awaitChain(be, done)
 
 	makespan := be.Now() - start
-	if mb, ok := be.(*meteredBackend); ok {
-		mb.finish(makespan)
-	}
+	settleMeter(be, makespan)
 	var err error
 	if canceled {
 		for m := range reports {

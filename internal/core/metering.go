@@ -2,7 +2,7 @@ package core
 
 import "repro/internal/metrics"
 
-// Metric names recorded by the metered backend. They are package-level so
+// Metric names recorded by the metrics hook set. They are package-level so
 // exposition layers and tests can reference them without typos; semantics
 // are documented in DESIGN.md §9.
 const (
@@ -20,155 +20,86 @@ const (
 	MetricToCPUBytes      = "core_transfer_to_cpu_bytes"
 )
 
-// meteredBackend interposes on a backend to account every batch and
-// transfer into a metrics registry. One instance is created per run (by
-// instrument), so it can also accumulate the run's own busy time and charge
-// the unit idle remainder when the run settles.
-type meteredBackend struct {
-	inner Backend
-	cpu   *meteredExecutor
-	gpu   *meteredExecutor
+// runMeter is the metrics hook set: it accounts every batch and transfer
+// of one run into a registry, and accumulates the run's own busy time per
+// unit so settlement can charge the idle remainder.
+type runMeter struct {
+	units [2]unitMeter // CPU, GPU
 
 	toGPUCount, toCPUCount *metrics.Counter
 	toGPUBytes, toCPUBytes *metrics.Counter
 	runs                   *metrics.Counter
 	runSeconds             *metrics.Histogram
-	cpuIdle, gpuIdle       *metrics.Float
 }
 
-var _ Backend = (*meteredBackend)(nil)
+// unitMeter accounts one unit's batches: latency into a histogram (whose
+// Sum is total batch time) and busy time registry-wide and per run.
+type unitMeter struct {
+	batch   *metrics.Histogram
+	busy    *metrics.Float
+	idle    *metrics.Float // nil when the platform lacks the unit
+	runBusy metrics.Float  // per-run accumulation, feeds the idle remainder
+}
 
-// meter wraps be so every batch and transfer is accounted into reg.
-func meter(be Backend, reg *metrics.Registry) *meteredBackend {
-	m := &meteredBackend{
-		inner:      be,
+func newRunMeter(reg *metrics.Registry, hasGPU bool) *runMeter {
+	m := &runMeter{
 		toGPUCount: reg.Counter(MetricToGPUTransfers),
 		toCPUCount: reg.Counter(MetricToCPUTransfers),
 		toGPUBytes: reg.Counter(MetricToGPUBytes),
 		toCPUBytes: reg.Counter(MetricToCPUBytes),
 		runs:       reg.Counter(MetricRuns),
 		runSeconds: reg.Histogram(MetricRunSeconds),
-		cpuIdle:    reg.Float(MetricCPUIdleSeconds),
-		gpuIdle:    reg.Float(MetricGPUIdleSeconds),
 	}
-	m.cpu = &meteredExecutor{
-		inner: be.CPU(), be: be,
+	m.units[0] = unitMeter{
 		batch: reg.Histogram(MetricCPUBatchSeconds),
 		busy:  reg.Float(MetricCPUBusySeconds),
+		idle:  reg.Float(MetricCPUIdleSeconds),
 	}
-	if g := be.GPU(); g != nil {
-		m.gpu = &meteredExecutor{
-			inner: g, be: be,
+	if hasGPU {
+		m.units[1] = unitMeter{
 			batch: reg.Histogram(MetricGPUBatchSeconds),
 			busy:  reg.Float(MetricGPUBusySeconds),
+			idle:  reg.Float(MetricGPUIdleSeconds),
 		}
 	}
 	return m
+}
+
+func (m *runMeter) hooks() Hooks {
+	return Hooks{
+		Batch: func(gpu bool, _ Batch, start, end float64) {
+			u := &m.units[0]
+			if gpu {
+				u = &m.units[1]
+			}
+			d := end - start
+			u.batch.Observe(d)
+			u.busy.Add(d)
+			u.runBusy.Add(d)
+		},
+		Transfer: func(toGPU bool, n int64, _, _ float64) {
+			if toGPU {
+				m.toGPUCount.Inc()
+				m.toGPUBytes.Add(uint64(n))
+			} else {
+				m.toCPUCount.Inc()
+				m.toCPUBytes.Add(uint64(n))
+			}
+		},
+	}
 }
 
 // finish settles the run's derived metrics: the makespan observation and the
 // per-unit idle remainder makespan − Σ batch time. Batches overlapping on a
 // unit (two chains of the advanced division sharing the CPU) can push the
 // busy sum past the makespan, in which case the idle charge clamps at zero.
-func (m *meteredBackend) finish(makespan float64) {
+func (m *runMeter) finish(makespan float64) {
 	m.runs.Inc()
 	m.runSeconds.Observe(makespan)
-	charge := func(idle *metrics.Float, e *meteredExecutor) {
-		if e == nil {
-			return
-		}
-		if d := makespan - e.runBusy.Value(); d > 0 {
-			idle.Add(d)
+	for i := range m.units {
+		u := &m.units[i]
+		if d := makespan - u.runBusy.Value(); u.idle != nil && d > 0 {
+			u.idle.Add(d)
 		}
 	}
-	charge(m.cpuIdle, m.cpu)
-	charge(m.gpuIdle, m.gpu)
-}
-
-// CPU implements Backend.
-func (m *meteredBackend) CPU() LevelExecutor { return m.cpu }
-
-// GPU implements Backend.
-func (m *meteredBackend) GPU() LevelExecutor {
-	if m.gpu == nil {
-		return nil
-	}
-	return m.gpu
-}
-
-// GPUGamma implements Backend.
-func (m *meteredBackend) GPUGamma() float64 { return m.inner.GPUGamma() }
-
-// TransferToGPU implements Backend.
-func (m *meteredBackend) TransferToGPU(n int64, done func()) {
-	m.toGPUCount.Inc()
-	m.toGPUBytes.Add(uint64(n))
-	m.inner.TransferToGPU(n, done)
-}
-
-// TransferToCPU implements Backend.
-func (m *meteredBackend) TransferToCPU(n int64, done func()) {
-	m.toCPUCount.Inc()
-	m.toCPUBytes.Add(uint64(n))
-	m.inner.TransferToCPU(n, done)
-}
-
-// Now implements Backend.
-func (m *meteredBackend) Now() float64 { return m.inner.Now() }
-
-// Unwrap implements Unwrapper so capability probes (segment allocation)
-// reach the wrapped backend.
-func (m *meteredBackend) Unwrap() Backend { return m.inner }
-
-// Wait implements Backend.
-func (m *meteredBackend) Wait() { m.inner.Wait() }
-
-// Autonomous forwards the wrapped backend's marker so executors drive a
-// metered backend exactly like the bare one.
-func (m *meteredBackend) Autonomous() bool { return autonomous(m.inner) }
-
-// Closed forwards the wrapped backend's Closer state.
-func (m *meteredBackend) Closed() bool {
-	c, ok := m.inner.(Closer)
-	return ok && c.Closed()
-}
-
-// Fault forwards the wrapped backend's Faulter state, so a device fault
-// recorded beneath the meter still reaches the executor's settlement.
-func (m *meteredBackend) Fault() error { return deviceFault(m.inner) }
-
-// meteredExecutor accounts every submitted batch: its queue+service latency
-// into a histogram (whose Sum is total batch time), and into both the
-// registry-wide and the per-run busy accumulators.
-type meteredExecutor struct {
-	inner   LevelExecutor
-	be      Backend
-	batch   *metrics.Histogram
-	busy    *metrics.Float
-	runBusy metrics.Float // per-run accumulation, feeds the idle remainder
-}
-
-var _ LevelExecutor = (*meteredExecutor)(nil)
-
-// Parallelism implements LevelExecutor.
-func (e *meteredExecutor) Parallelism() int { return e.inner.Parallelism() }
-
-// Submit implements LevelExecutor.
-func (e *meteredExecutor) Submit(b Batch, done func()) {
-	if b.Empty() {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	start := e.be.Now()
-	e.inner.Submit(b, func() {
-		d := e.be.Now() - start
-		e.batch.Observe(d)
-		e.busy.Add(d)
-		e.runBusy.Add(d)
-		if done != nil {
-			done()
-		}
-	})
 }

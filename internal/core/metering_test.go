@@ -128,8 +128,8 @@ func TestMeteredHybridTransfers(t *testing.T) {
 	}
 }
 
-// TestNilMetricsUnchanged pins that a run without WithMetrics drives the
-// bare backend (no metering wrapper interposed).
+// TestNilMetricsUnchanged pins that a run without WithMetrics or hooks
+// drives the bare backend (no interposer).
 func TestNilMetricsUnchanged(t *testing.T) {
 	be := newFakeBackend(true)
 	cfg := NewRunConfig()

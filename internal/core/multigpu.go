@@ -25,10 +25,9 @@ type MultiGPUBackend interface {
 //
 // ctx is checked at every level boundary of every chain; on cancellation the
 // partial Report's error wraps dcerr.ErrCanceled. The split level defaults
-// to DefaultSplit; override it with WithSplit. A WithBackendWrapper layer
-// that does not itself implement MultiGPUBackend (tracing, metering) sees
-// the CPU and transfer traffic but not the per-device submissions, which go
-// to the raw device executors.
+// to DefaultSplit; override it with WithSplit. Hook sets (WithHooks,
+// WithMetrics) see the CPU and transfer traffic but not the per-device
+// submissions, which go to the raw device executors.
 func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha float64, y int, opts ...Option) (Report, error) {
 	cfg := NewRunConfig(opts...)
 	ibe := instrument(be, &cfg)
@@ -36,9 +35,6 @@ func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha f
 		return Report{}, err
 	}
 	devices := be.GPUs()
-	if mg, ok := ibe.(MultiGPUBackend); ok {
-		devices = mg.GPUs()
-	}
 	if len(devices) == 0 {
 		return Report{}, fmt.Errorf("core: %w (multi-GPU strategy)", dcerr.ErrNoGPU)
 	}
@@ -109,7 +105,7 @@ func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha f
 	// Each stripe stages into a leased device segment when the backend
 	// pools device memory, released with the chain.
 	tr, _ := alg.(Transformable)
-	sa := segmentAllocator(ibe)
+	sa, _ := ibe.(SegmentAllocator)
 	segs := make([]*Segment, k)
 	defer func() {
 		for _, sg := range segs {

@@ -62,9 +62,10 @@ type RunConfig struct {
 	// Priority is the scheduling weight used by serving layers (higher is
 	// dispatched sooner under contention). Direct executors ignore it.
 	Priority int
-	// Wrap, if non-nil, substitutes the backend the executor drives — the
-	// hook used by tracing and other instrumentation layers.
-	Wrap func(Backend) Backend
+	// Hooks are the run's observer and gate callbacks on its backend
+	// traffic (tracing, calibration, fault injection), appended by
+	// WithHooks.
+	Hooks []Hooks
 	// Observe, if non-nil, runs on the final Report before the executor
 	// returns (after a partial, canceled run too).
 	Observe func(*Report)
@@ -139,12 +140,6 @@ func WithPriority(w int) Option {
 // performs no allocation and no atomic work.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(c *RunConfig) { c.Metrics = reg }
-}
-
-// WithBackendWrapper substitutes the backend seen by the executor; tracing
-// uses this to interpose span recording on every Submit and transfer.
-func WithBackendWrapper(wrap func(Backend) Backend) Option {
-	return func(c *RunConfig) { c.Wrap = wrap }
 }
 
 // WithAutoStrategy records the auto-tuner's chosen strategy name so the

@@ -11,7 +11,7 @@ import (
 
 func TestRunConfigDefaults(t *testing.T) {
 	c := NewRunConfig()
-	if c.Coalesce || c.SplitSet || c.Wrap != nil || c.Observe != nil {
+	if c.Coalesce || c.SplitSet || c.Hooks != nil || c.Observe != nil {
 		t.Errorf("zero options resolved to non-default config %+v", c)
 	}
 	if c.Priority != 1 {
@@ -76,20 +76,18 @@ func TestWithSplitRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithBackendWrapper asserts the wrapper substitutes the backend the
-// executor drives.
-func TestWithBackendWrapper(t *testing.T) {
-	wrapped := false
+// TestWithHooksAppends asserts WithHooks appends rather than replaces: two
+// hook sets attached by separate options both observe every batch.
+func TestWithHooksAppends(t *testing.T) {
+	var a, b int
 	be := hpu.MustSim(hpu.HPU1())
 	_, err := RunSequentialCtx(context.Background(), be, newProbe(2, 3),
-		WithBackendWrapper(func(inner Backend) Backend {
-			wrapped = true
-			return inner
-		}))
+		WithHooks(Hooks{Batch: func(bool, Batch, float64, float64) { a++ }}),
+		WithHooks(Hooks{Batch: func(bool, Batch, float64, float64) { b++ }}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wrapped {
-		t.Error("backend wrapper never ran")
+	if a == 0 || a != b {
+		t.Errorf("hook sets saw %d and %d batches, want the same nonzero count", a, b)
 	}
 }

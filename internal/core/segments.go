@@ -21,29 +21,6 @@ type SegmentAllocator interface {
 	AllocSegment(bytes int64) *Segment
 }
 
-// Unwrapper is implemented by backend decorators (metering, fault
-// injection) so capability probes can reach inner layers that the
-// decorator does not forward explicitly.
-type Unwrapper interface {
-	Unwrap() Backend
-}
-
-// segmentAllocator walks the backend decorator chain to the first layer
-// that can lease device segments, or nil.
-func segmentAllocator(be Backend) SegmentAllocator {
-	for be != nil {
-		if sa, ok := be.(SegmentAllocator); ok {
-			return sa
-		}
-		u, ok := be.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		be = u.Unwrap()
-	}
-	return nil
-}
-
 // Segment is one leased device staging range. Its capacity is the size
 // class the cache rounded the request up to.
 type Segment struct {

@@ -4,7 +4,7 @@
 // can soak them — without real flaky hardware.
 //
 // An Injector is configured once with a seed and per-kind fault rates and
-// then wraps a core.Backend once per execution attempt (Wrap). Each wrap
+// then hands out one hook set per execution attempt (Hooks). Each set
 // draws a fault plan — whether this attempt faults, which kind, and on
 // which device operation it fires — as a pure function of the seed and the
 // attempt index (a splitmix64 PRF), so a chaos run's fault schedule is
@@ -31,8 +31,9 @@
 // incomplete, not subtly wrong — which is why the serving layer re-executes
 // on a fresh instance (serve.Job.Fresh) rather than in place.
 //
-// Faults are reported through the core.Faulter interface: executors consult
-// it at settlement and classify the run under dcerr.ErrDeviceFault with a
+// Faults are reported through the hook set's Fault, which the executors'
+// backend interposer exposes as core.Faulter: executors consult it at
+// settlement and classify the run under dcerr.ErrDeviceFault with a
 // partial Report.
 package faults
 
@@ -79,7 +80,7 @@ func (k Kind) String() string {
 }
 
 // Config describes an Injector. Rates are per execution attempt: each
-// wrapped attempt draws at most one fault, of a kind chosen with
+// attempt draws at most one fault, of a kind chosen with
 // probability proportional to its rate. The rates must sum to at most 1.
 type Config struct {
 	// Seed determines the whole fault schedule.
@@ -124,7 +125,7 @@ func (c Config) Validate() error {
 
 // Counts is a snapshot of everything an injector has done.
 type Counts struct {
-	// Attempts is how many execution attempts were wrapped.
+	// Attempts is how many execution attempts drew a plan (Hooks calls).
 	Attempts uint64
 	// Injected is how many faults actually fired (an attempt whose plan
 	// triggers on a device operation it never reached does not count).
@@ -133,7 +134,7 @@ type Counts struct {
 	KernelErrors, TransferErrors, StuckLaunches, CloseRaces uint64
 }
 
-// Injector hands out per-attempt fault-injecting backend wrappers.
+// Injector hands out per-attempt fault-injecting hook sets.
 type Injector struct {
 	cfg Config
 	seq atomic.Uint64
@@ -210,19 +211,15 @@ func (in *Injector) plan(k uint64) (Kind, uint64) {
 	return kind, trigger
 }
 
-// Wrap returns a fault-injecting view of be for one execution attempt. The
-// attempt's fault plan is fixed at wrap time; the returned backend
-// implements core.Backend, core.Autonomous, core.Closer, core.DeviceProber
-// and core.Faulter.
-func (in *Injector) Wrap(be core.Backend) *Backend {
+// Hooks draws the next attempt's fault plan and returns it as the hook set
+// for one execution on be (the device the attempt runs on; a StuckLaunch
+// stalls it). Attach the set with core.WithHooks; its Gate applies the plan
+// to every device operation and its Fault reports what fired.
+func (in *Injector) Hooks(be core.Backend) core.Hooks {
 	k := in.seq.Add(1) - 1
 	kind, trigger := in.plan(k)
-	f := &Backend{inner: be, in: in, attempt: k, kind: kind, trigger: trigger}
-	f.cpu = &faultExecutor{f: f, inner: be.CPU(), gpu: false}
-	if g := be.GPU(); g != nil {
-		f.gpu = &faultExecutor{f: f, inner: g, gpu: true}
-	}
-	return f
+	a := &attempt{be: be, in: in, attempt: k, kind: kind, trigger: trigger}
+	return core.Hooks{Gate: a.gate, Fault: a.fault}
 }
 
 // virtualStaller is implemented by simulated backends that can occupy the
@@ -232,69 +229,85 @@ type virtualStaller interface {
 	StallDevice(ops float64, done func())
 }
 
-// Backend is one attempt's fault-injecting view of an inner backend.
-type Backend struct {
-	inner   core.Backend
+// attempt is one execution attempt's fault plan and progress.
+type attempt struct {
+	be      core.Backend
 	in      *Injector
 	attempt uint64
 	kind    Kind
 	trigger uint64
 
-	ops   atomic.Uint64 // device operations seen so far
-	dead  atomic.Bool   // device lost: short-circuit everything
-	fault atomic.Pointer[error]
-
-	cpu core.LevelExecutor
-	gpu core.LevelExecutor
+	ops  atomic.Uint64 // device operations seen so far
+	dead atomic.Bool   // device lost: short-circuit everything
+	err  atomic.Pointer[error]
 }
 
-var _ core.Backend = (*Backend)(nil)
-var _ core.Faulter = (*Backend)(nil)
-
-// Fault implements core.Faulter.
-func (f *Backend) Fault() error {
-	if p := f.fault.Load(); p != nil {
+// fault reports the attempt's recorded fault, or nil.
+func (a *attempt) fault() error {
+	if p := a.err.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
+// gate applies the plan to one operation. CPU batches are never faulted,
+// but short-circuit once the device is lost so the doomed attempt fails
+// fast instead of finishing its combine phases on garbage.
+func (a *attempt) gate(gpu bool, run, skip func()) {
+	if !gpu {
+		if a.dead.Load() {
+			skip()
+		} else {
+			run()
+		}
+		return
+	}
+	switch stall, ok := a.deviceOp(); {
+	case !ok:
+		skip()
+	case stall:
+		a.stallThen(run)
+	default:
+		run()
+	}
+}
+
 // recordFault stores the attempt's fault (first wins) and kills the device.
-func (f *Backend) recordFault(err error) {
-	f.fault.CompareAndSwap(nil, &err)
-	f.dead.Store(true)
-	f.in.injected.Add(1)
+func (a *attempt) recordFault(err error) {
+	a.err.CompareAndSwap(nil, &err)
+	a.dead.Store(true)
+	a.in.injected.Add(1)
 }
 
 // deviceOp accounts one device interaction and returns what to do with it.
 // ok=false means the operation (and everything after it) short-circuits.
-func (f *Backend) deviceOp() (stall bool, ok bool) {
-	if f.dead.Load() {
+func (a *attempt) deviceOp() (stall bool, ok bool) {
+	if a.dead.Load() {
 		return false, false
 	}
-	n := f.ops.Add(1)
-	if f.kind == None || n != f.trigger {
+	n := a.ops.Add(1)
+	if a.kind == None || n != a.trigger {
 		return false, true
 	}
-	switch f.kind {
+	switch a.kind {
 	case KernelError:
-		f.in.kernel.Add(1)
-		f.recordFault(fmt.Errorf("faults: injected kernel error (attempt %d, device op %d): %w",
-			f.attempt, n, dcerr.ErrDeviceFault))
+		a.in.kernel.Add(1)
+		a.recordFault(fmt.Errorf("faults: injected kernel error (attempt %d, device op %d): %w",
+			a.attempt, n, dcerr.ErrDeviceFault))
 		return false, false
 	case TransferError:
-		f.in.transfer.Add(1)
-		f.recordFault(fmt.Errorf("faults: injected transfer corruption (attempt %d, device op %d): %w",
-			f.attempt, n, dcerr.ErrDeviceFault))
+		a.in.transfer.Add(1)
+		a.recordFault(fmt.Errorf("faults: injected transfer corruption (attempt %d, device op %d): %w",
+			a.attempt, n, dcerr.ErrDeviceFault))
 		return false, false
 	case CloseRace:
-		f.in.closeRaces.Add(1)
-		f.recordFault(fmt.Errorf("faults: injected submit-after-close race (attempt %d, device op %d): %w: %w",
-			f.attempt, n, dcerr.ErrDeviceFault, dcerr.ErrBackendClosed))
+		a.in.closeRaces.Add(1)
+		a.recordFault(fmt.Errorf("faults: injected submit-after-close race (attempt %d, device op %d): %w: %w",
+			a.attempt, n, dcerr.ErrDeviceFault, dcerr.ErrBackendClosed))
 		return false, false
 	case StuckLaunch:
-		f.in.stuck.Add(1)
-		f.in.injected.Add(1)
+		a.in.stuck.Add(1)
+		a.in.injected.Add(1)
 		return true, true
 	}
 	return false, true
@@ -303,128 +316,15 @@ func (f *Backend) deviceOp() (stall bool, ok bool) {
 // stallThen delays op by the configured stall — wall clock on autonomous
 // backends, a synthetic occupation of the simulated device's in-order queue
 // otherwise — and then runs it.
-func (f *Backend) stallThen(op func()) {
-	if vs, ok := f.inner.(virtualStaller); ok {
-		vs.StallDevice(f.in.cfg.StallOps, op)
+func (a *attempt) stallThen(op func()) {
+	if vs, ok := a.be.(virtualStaller); ok {
+		vs.StallDevice(a.in.cfg.StallOps, op)
 		return
 	}
-	if a, ok := f.inner.(core.Autonomous); ok && a.Autonomous() {
-		time.AfterFunc(f.in.cfg.Stall, op)
+	if au, ok := a.be.(core.Autonomous); ok && au.Autonomous() {
+		time.AfterFunc(a.in.cfg.Stall, op)
 		return
 	}
 	// No way to model the stall on this backend: run the op directly.
 	op()
-}
-
-// CPU implements core.Backend.
-func (f *Backend) CPU() core.LevelExecutor { return f.cpu }
-
-// GPU implements core.Backend.
-func (f *Backend) GPU() core.LevelExecutor {
-	if f.gpu == nil {
-		return nil
-	}
-	return f.gpu
-}
-
-// GPUGamma implements core.Backend.
-func (f *Backend) GPUGamma() float64 { return f.inner.GPUGamma() }
-
-// TransferToGPU implements core.Backend.
-func (f *Backend) TransferToGPU(n int64, done func()) {
-	f.transfer(n, done, f.inner.TransferToGPU)
-}
-
-// TransferToCPU implements core.Backend.
-func (f *Backend) TransferToCPU(n int64, done func()) {
-	f.transfer(n, done, f.inner.TransferToCPU)
-}
-
-func (f *Backend) transfer(n int64, done func(), inner func(int64, func())) {
-	stall, ok := f.deviceOp()
-	if !ok {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	if stall {
-		f.stallThen(func() { inner(n, done) })
-		return
-	}
-	inner(n, done)
-}
-
-// Now implements core.Backend.
-func (f *Backend) Now() float64 { return f.inner.Now() }
-
-// Unwrap implements core.Unwrapper so capability probes (segment
-// allocation) reach the wrapped backend.
-func (f *Backend) Unwrap() core.Backend { return f.inner }
-
-// Wait implements core.Backend.
-func (f *Backend) Wait() { f.inner.Wait() }
-
-// Autonomous forwards the inner backend's marker.
-func (f *Backend) Autonomous() bool {
-	a, ok := f.inner.(core.Autonomous)
-	return ok && a.Autonomous()
-}
-
-// Closed forwards the inner backend's core.Closer state.
-func (f *Backend) Closed() bool {
-	c, ok := f.inner.(core.Closer)
-	return ok && c.Closed()
-}
-
-// ProbeDevice implements core.DeviceProber: a lost device reports its
-// fault; otherwise the probe forwards to the inner backend.
-func (f *Backend) ProbeDevice() error {
-	if err := f.Fault(); err != nil {
-		return err
-	}
-	if p, ok := f.inner.(core.DeviceProber); ok {
-		return p.ProbeDevice()
-	}
-	return nil
-}
-
-// faultExecutor interposes the fault plan on one unit's submissions.
-type faultExecutor struct {
-	f     *Backend
-	inner core.LevelExecutor
-	gpu   bool
-}
-
-var _ core.LevelExecutor = (*faultExecutor)(nil)
-
-// Parallelism implements core.LevelExecutor.
-func (e *faultExecutor) Parallelism() int { return e.inner.Parallelism() }
-
-// Submit implements core.LevelExecutor. CPU submissions are never faulted,
-// but short-circuit once the device is lost so the doomed attempt fails
-// fast instead of finishing its combine phases on garbage.
-func (e *faultExecutor) Submit(b core.Batch, done func()) {
-	if !e.gpu {
-		if e.f.dead.Load() {
-			if done != nil {
-				done()
-			}
-			return
-		}
-		e.inner.Submit(b, done)
-		return
-	}
-	stall, ok := e.f.deviceOp()
-	if !ok {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	if stall {
-		e.f.stallThen(func() { e.inner.Submit(b, done) })
-		return
-	}
-	e.inner.Submit(b, done)
 }

@@ -12,12 +12,14 @@ import (
 	"repro/internal/dcerr"
 	"repro/internal/faults"
 	"repro/internal/hpu"
+	"repro/internal/metrics"
 	"repro/internal/native"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// plans reads n attempt plans off a fresh injector by wrapping a throwaway
-// backend and probing what each wrap decided.
+// plans reads n attempt plans off a fresh injector by gating device
+// operations through each attempt's hook set and probing what it decided.
 func plans(t *testing.T, cfg faults.Config, be core.Backend, n int) []error {
 	t.Helper()
 	in, err := faults.New(cfg)
@@ -26,12 +28,12 @@ func plans(t *testing.T, cfg faults.Config, be core.Backend, n int) []error {
 	}
 	out := make([]error, n)
 	for i := range out {
-		fb := in.Wrap(be)
+		h := in.Hooks(be)
 		// Trip enough device ops to reach any trigger.
 		for j := 0; j < 8; j++ {
-			fb.TransferToGPU(1, func() {})
+			h.Gate(true, func() {}, func() {})
 		}
-		out[i] = fb.Fault()
+		out[i] = h.Fault()
 	}
 	return out
 }
@@ -101,8 +103,7 @@ func runFaulted(t *testing.T, be core.Backend, kind string, cfg faults.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := in.Wrap(be)
-	rep, err := core.RunGPUOnlyCtx(context.Background(), fb, alg)
+	rep, err := core.RunGPUOnlyCtx(context.Background(), be, alg, core.WithHooks(in.Hooks(be)))
 	if !errors.Is(err, dcerr.ErrDeviceFault) {
 		t.Fatalf("%s: err = %v, want ErrDeviceFault", kind, err)
 	}
@@ -139,7 +140,7 @@ func TestCloseRaceAlsoMatchesBackendClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.RunGPUOnlyCtx(context.Background(), in.Wrap(be), alg)
+	_, err = core.RunGPUOnlyCtx(context.Background(), be, alg, core.WithHooks(in.Hooks(be)))
 	if !errors.Is(err, dcerr.ErrDeviceFault) || !errors.Is(err, dcerr.ErrBackendClosed) {
 		t.Fatalf("close race err = %v, want both ErrDeviceFault and ErrBackendClosed", err)
 	}
@@ -172,7 +173,7 @@ func TestStuckLaunchCompletes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.RunGPUOnlyCtx(context.Background(), in.Wrap(be), alg); err != nil {
+		if _, err := core.RunGPUOnlyCtx(context.Background(), be, alg, core.WithHooks(in.Hooks(be))); err != nil {
 			t.Fatalf("%s: stuck launch failed the run: %v", name, err)
 		}
 		out := alg.Result()
@@ -181,6 +182,104 @@ func TestStuckLaunchCompletes(t *testing.T) {
 		}
 		if c := in.Counts(); c.StuckLaunches != 1 {
 			t.Errorf("%s: counts = %+v, want 1 stuck launch", name, c)
+		}
+	}
+}
+
+// TestScheduleIndependentOfObservers pins that observers do not shift the
+// fault schedule: one seed on one job faults the same device operation —
+// same counts, same error, same virtual time at the fault — whether the
+// run is bare, metered, or metered and traced. The trigger span exceeds
+// the job's device operations, so some seeds run clean in every case.
+func TestScheduleIndependentOfObservers(t *testing.T) {
+	observers := map[string][]core.Option{
+		"none":          nil,
+		"metrics":       {core.WithMetrics(metrics.NewRegistry())},
+		"metrics+trace": {core.WithMetrics(metrics.NewRegistry()), core.WithHooks(trace.Hooks(trace.NewRecorder()))},
+	}
+	type outcome struct {
+		counts  faults.Counts
+		err     string
+		seconds float64
+	}
+	faulted := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := faults.Config{Seed: seed, KernelErrorRate: 1, TriggerSpan: 32}
+		var want outcome
+		for _, name := range []string{"none", "metrics", "metrics+trace"} {
+			in, err := faults.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alg, err := mergesort.New(workload.Uniform(1<<12, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := hpu.MustSim(hpu.HPU1())
+			opts := append([]core.Option{core.WithHooks(in.Hooks(sim))}, observers[name]...)
+			rep, err := core.RunGPUOnlyCtx(context.Background(), sim, alg, opts...)
+			got := outcome{counts: in.Counts(), seconds: rep.Seconds}
+			if err != nil {
+				got.err = err.Error()
+			}
+			if name == "none" {
+				want = got
+				if err != nil {
+					faulted++
+				}
+				continue
+			}
+			if got != want {
+				t.Errorf("seed %d, %s: %+v; bare run gave %+v", seed, name, got, want)
+			}
+		}
+	}
+	if faulted == 0 || faulted == 8 {
+		t.Errorf("%d of 8 seeds faulted; want a mix of faulted and clean runs", faulted)
+	}
+}
+
+// stallCounter is a simulated backend counting the device stalls the
+// injector asks of it.
+type stallCounter struct {
+	*hpu.Sim
+	stalls int
+}
+
+func (s *stallCounter) StallDevice(ops float64, done func()) {
+	s.stalls++
+	s.Sim.StallDevice(ops, done)
+}
+
+// TestStuckLaunchReachesDeviceUnderObservers checks the StuckLaunch stall
+// reaches the device's StallDevice with 0 to 3 observer hook sets attached
+// beside the injector, and the stalled run still completes correctly.
+func TestStuckLaunchReachesDeviceUnderObservers(t *testing.T) {
+	observers := []core.Option{
+		core.WithMetrics(metrics.NewRegistry()),
+		core.WithHooks(trace.Hooks(trace.NewRecorder())),
+		core.WithHooks(core.Hooks{Batch: func(bool, core.Batch, float64, float64) {}}),
+	}
+	for n := 0; n <= len(observers); n++ {
+		in, err := faults.New(faults.Config{Seed: 5, StuckRate: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := mergesort.New(workload.Uniform(1<<8, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := &stallCounter{Sim: hpu.MustSim(hpu.HPU1())}
+		opts := append([]core.Option{core.WithHooks(in.Hooks(dev))}, observers[:n]...)
+		if _, err := core.RunGPUOnlyCtx(context.Background(), dev, alg, opts...); err != nil {
+			t.Fatalf("%d observers: %v", n, err)
+		}
+		if dev.stalls != 1 {
+			t.Errorf("%d observers: %d device stalls, want 1", n, dev.stalls)
+		}
+		out := alg.Result()
+		if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i] < out[j] }) {
+			t.Errorf("%d observers: output not sorted after stuck launch", n)
 		}
 	}
 }

@@ -168,8 +168,7 @@ func (s *Sim) StallDevice(ops float64, done func()) {
 }
 
 // ProbeDevice implements core.DeviceProber. The simulated device cannot be
-// lost, so a bare Sim always probes healthy; fault-injecting wrappers
-// interpose their own answer.
+// lost, so a Sim always probes healthy.
 func (s *Sim) ProbeDevice() error { return nil }
 
 // Now implements core.Backend: the current virtual time in seconds.

@@ -83,8 +83,7 @@ func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {
 }
 
 // feedAutotune folds one clean, complete, metered attempt into the placed
-// device's calibration. Attempts whose meter saw nothing (a job's own
-// backend wrapper replaced the server's instrumentation) are skipped — an
+// device's calibration. Attempts whose meter saw no work are skipped — an
 // empty sample would poison the rates.
 func (s *Server) feedAutotune(d *device, q *queued, alg core.Alg, strat Strategy, m *autotune.Meter, rep core.Report) {
 	if m.Empty() {

@@ -2,15 +2,21 @@ package serve_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/algos/scan"
 	"repro/internal/core"
+	"repro/internal/dcerr"
+	"repro/internal/faults"
+	"repro/internal/hpu"
 	"repro/internal/metrics"
 	"repro/internal/native"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestServerMetrics drives a metered server and checks the serving-layer
@@ -199,4 +205,101 @@ func BenchmarkServeSubmit(b *testing.B) { benchSubmit(b) }
 // BenchmarkServeSubmitMetrics is Submit with a live registry.
 func BenchmarkServeSubmitMetrics(b *testing.B) {
 	benchSubmit(b, serve.WithMetrics(metrics.NewRegistry()))
+}
+
+// TestServerTracedKeepsSegmentReuse pins that tracing does not cut the
+// executors off from the device's segment cache: three same-shape GPUOnly
+// jobs on a traced server lease one device segment and reuse it twice.
+func TestServerTracedKeepsSegmentReuse(t *testing.T) {
+	sim := hpu.MustSim(hpu.HPU1())
+	rec := trace.NewRecorder()
+	srv, err := serve.New(sim, serve.WithRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		job, _ := sortJob(t, 1<<12, int64(i))
+		h, err := srv.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Report(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sim.SimGPU().Segments().Stats(); st.Allocs != 1 || st.Reuses != 2 {
+		t.Errorf("segment stats %+v, want 1 alloc and 2 reuses", st)
+	}
+	gpuSpans := 0
+	for _, sp := range rec.Spans() {
+		if sp.Unit == trace.UnitGPU {
+			gpuSpans++
+		}
+	}
+	if gpuSpans == 0 {
+		t.Error("traced server recorded no GPU spans")
+	}
+}
+
+// TestJobHooksComposeWithServerFaults checks a job's own span recorder
+// composes with the server's fault injection instead of bypassing it: the
+// job's recorder sees its spans and the injected fault still fires.
+func TestJobHooksComposeWithServerFaults(t *testing.T) {
+	srv, in := newFaultyServer(t, faults.Config{Seed: 1, KernelErrorRate: 1})
+	rec := trace.NewRecorder()
+	job, _ := sortJob(t, 1<<8, 1)
+	h, err := srv.Submit(context.Background(), job, core.WithHooks(trace.Hooks(rec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Report(); !errors.Is(err, dcerr.ErrDeviceFault) {
+		t.Fatalf("err = %v, want the injected ErrDeviceFault", err)
+	}
+	if c := in.Counts(); c.Injected != 1 {
+		t.Errorf("injector counts %+v, want 1 injected", c)
+	}
+	if rec.Len() == 0 {
+		t.Error("the job's own recorder saw no spans")
+	}
+}
+
+// TestJobHooksNeverFuse checks GPUOnly jobs carrying their own hook sets
+// run solo on a fusing server, each still recording its own spans.
+func TestJobHooksNeverFuse(t *testing.T) {
+	srv, err := serve.New(hpu.MustSim(hpu.HPU1()), serve.WithMaxFusedJobs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := blockServer(t, srv)
+	recs := make([]*trace.Recorder, 3)
+	var handles []*serve.Handle
+	for i := range recs {
+		recs[i] = trace.NewRecorder()
+		sc, err := scan.New(workload.Uniform(128, int64(20+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: sc, Strategy: serve.GPUOnly},
+			core.WithHooks(trace.Hooks(recs[i])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	release()
+	for _, h := range handles {
+		if _, err := h.Report(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Stats(); st.FusedRuns != 0 {
+		t.Errorf("fused runs = %d, want 0 for jobs with their own hooks", st.FusedRuns)
+	}
+	for i, rec := range recs {
+		if rec.Len() == 0 {
+			t.Errorf("job %d's recorder saw no spans", i)
+		}
+	}
 }

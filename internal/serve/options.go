@@ -38,9 +38,8 @@ func WithMetrics(reg *metrics.Registry) Option {
 }
 
 // WithRecorder records spans into rec: one "queue" and one "job" span per
-// job, plus — through a per-job scope wrapped around the backend — every
-// batch and transfer the job's executor submits, all stamped with the job
-// ID. Use trace.NewRecorderLimit for a server that should trace
+// job, plus — through a per-job scope's hook set — every batch and
+// transfer the job's executor submits, all stamped with the job ID. Use trace.NewRecorderLimit for a server that should trace
 // continuously at bounded memory.
 func WithRecorder(rec *trace.Recorder) Option {
 	return func(c *Config) { c.Trace = rec }
@@ -90,10 +89,11 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 	}
 }
 
-// WithFaults wraps every job attempt's backend with the fault injector, so
-// a chaos run exercises the reliability policies against deterministic,
-// seeded device failures (see internal/faults). Fused executions and jobs
-// carrying their own core.WithBackendWrapper bypass injection.
+// WithFaults attaches the fault injector's hook set to every job attempt,
+// so a chaos run exercises the reliability policies against deterministic,
+// seeded device failures (see internal/faults). A job's own hook sets
+// (core.WithHooks, e.g. a span recorder) compose with injection rather
+// than bypass it; fused executions are never injected.
 func WithFaults(in *faults.Injector) Option {
 	return func(c *Config) { c.Faults = in }
 }

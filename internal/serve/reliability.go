@@ -551,45 +551,34 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 
 // runAttempt executes one attempt of a job under a given strategy on the
 // job's placed device. The job's options are prefixed with the server's
-// instrumentation: the metrics registry, and a backend wrapper composing the
-// device's fault injector (innermost, so injected faults pass through
-// tracing and metering like real ones) with the per-job trace scope and —
-// once auto-strategy is active — an autotune meter (outermost, so it times
-// the same work the executors see). Being prefixes, a job's own WithMetrics
-// or WithBackendWrapper still wins — and then opts out of server-side fault
-// injection, tracing, and calibration feedback for that job.
+// instrumentation: the metrics registry and the hook sets of the device's
+// fault injector (first, so its gate runs before anything observes), the
+// per-job trace scope, and — once auto-strategy is active — an autotune
+// meter. Hook sets append, so a job's own WithHooks (a span recorder)
+// composes with the server's: the job is still fault-injected, traced and
+// metered. A job's own WithMetrics replaces the server's registry.
 func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *trace.Scope, alg core.Alg,
 	strat Strategy, attempt int, kind string) (core.Report, error) {
 	be := d.be
-	injector := d.faults
-	meterOn := s.autoActive.Load()
-	autoTag := q.job.Strategy == Auto && q.autoDecided
 	var meter *autotune.Meter
 	opts := q.opts
-	if s.cfg.Metrics != nil || scope != nil || injector != nil || meterOn || autoTag {
-		pre := make([]core.Option, 0, 3)
-		if s.cfg.Metrics != nil {
-			pre = append(pre, core.WithMetrics(s.cfg.Metrics))
+	meterOn := s.autoActive.Load()
+	autoTag := q.job.Strategy == Auto && q.autoDecided
+	if s.cfg.Metrics != nil || scope != nil || d.faults != nil || meterOn || autoTag {
+		var hooks []core.Hooks
+		if d.faults != nil {
+			hooks = append(hooks, d.faults.Hooks(be))
 		}
+		if scope != nil {
+			hooks = append(hooks, trace.Hooks(scope))
+		}
+		if meterOn {
+			meter = autotune.NewMeter()
+			hooks = append(hooks, meter.Hooks())
+		}
+		pre := []core.Option{core.WithMetrics(s.cfg.Metrics), core.WithHooks(hooks...)}
 		if autoTag {
 			pre = append(pre, core.WithAutoStrategy(q.autoStrat.String()))
-		}
-		if scope != nil || injector != nil || meterOn {
-			pre = append(pre, core.WithBackendWrapper(func(inner core.Backend) core.Backend {
-				wrapped := inner
-				if injector != nil {
-					wrapped = injector.Wrap(wrapped)
-				}
-				if scope != nil {
-					wrapped = trace.Wrap(wrapped, scope)
-				}
-				if meterOn {
-					m := autotune.NewMeter(wrapped)
-					meter = m
-					wrapped = m
-				}
-				return wrapped
-			}))
 		}
 		opts = append(pre, q.opts...)
 	}

@@ -31,11 +31,11 @@ func huntSeed(t *testing.T, cfg faults.Config, probe core.Backend, pattern []boo
 		}
 		ok := true
 		for _, want := range pattern {
-			fb := in.Wrap(probe)
+			h := in.Hooks(probe)
 			for j := 0; j < 8; j++ {
-				fb.TransferToGPU(1, func() {})
+				h.Gate(true, func() {}, func() {})
 			}
-			if (fb.Fault() != nil) != want {
+			if (h.Fault() != nil) != want {
 				ok = false
 				break
 			}
@@ -346,9 +346,22 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 func TestReliabilityNoGoroutineLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
-		srv, _ := newFaultyServer(t,
-			faults.Config{KernelErrorRate: 0.3, StuckRate: 0.2, Stall: time.Millisecond},
-			serve.WithBreaker(3, 10*time.Millisecond))
+		// The server and its backend are built and closed inside this
+		// scope, so the count below sees their workers gone.
+		be, err := native.New(native.Config{CPUWorkers: 2, DeviceLanes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		in, err := faults.New(faults.Config{KernelErrorRate: 0.3, StuckRate: 0.2, Stall: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.New(be, serve.WithFaults(in), serve.WithBreaker(3, 10*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
 		for i := 0; i < 24; i++ {
 			job, _ := sortJob(t, 1<<7, int64(i))
 			h, err := srv.Submit(context.Background(), job,

@@ -116,11 +116,8 @@ type Job struct {
 	Fresh func() (core.Alg, error)
 }
 
-// Config describes a Server.
-//
-// Deprecated: construct servers with New(backend, options...) or
-// NewPool(backends, options...); Config remains only as the resolved form
-// of the options and for NewFromConfig-based callers.
+// Config is the resolved form of a Server's Options. Construct servers
+// with New(backend, options...) or NewPool(backends, options...).
 type Config struct {
 	// Backend is the shared execution platform — device 0 of the pool.
 	// Required unless Pool is set.
@@ -173,9 +170,9 @@ type Config struct {
 	// backend is a core.MultiGPUBackend with two or more devices. 0 (the
 	// default) never splits.
 	SplitBytes int64
-	// Faults, if non-nil, wraps every attempt's backend with the fault
-	// injector — the chaos-testing hook (see internal/faults). Fused
-	// executions and jobs carrying their own WithBackendWrapper bypass it.
+	// Faults, if non-nil, attaches the fault injector's hook set to every
+	// attempt — the chaos-testing hook (see internal/faults). A job's own
+	// hook sets compose with it; fused executions are never injected.
 	Faults *faults.Injector
 	// DeviceFaults overrides Faults per device id, so a chaos run can make
 	// one pool member flaky while the rest stay healthy.
@@ -485,7 +482,7 @@ func New(be core.Backend, opts ...Option) (*Server, error) {
 			o(&cfg)
 		}
 	}
-	return NewFromConfig(cfg)
+	return newFromConfig(cfg)
 }
 
 // NewPool starts a server sharding jobs across a pool of backends — one
@@ -502,13 +499,11 @@ func NewPool(pool []core.Backend, opts ...Option) (*Server, error) {
 			o(&cfg)
 		}
 	}
-	return NewFromConfig(cfg)
+	return newFromConfig(cfg)
 }
 
-// NewFromConfig starts a server from a resolved Config.
-//
-// Deprecated: use New or NewPool with functional options.
-func NewFromConfig(cfg Config) (*Server, error) {
+// newFromConfig starts a server from a resolved Config.
+func newFromConfig(cfg Config) (*Server, error) {
 	if len(cfg.Pool) == 0 {
 		cfg.Pool = []core.Backend{cfg.Backend}
 	}

@@ -19,14 +19,14 @@ import (
 func tracedRun(t *testing.T) *Recorder {
 	t.Helper()
 	rec := NewRecorder()
-	be := Wrap(hpu.MustSim(hpu.HPU1()), rec)
+	be := hpu.MustSim(hpu.HPU1())
 	in := workload.Uniform(1<<10, 1)
 	s, err := mergesort.New(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prm := advParams{Alpha: 0.25, Y: 5, Split: -1}
-	if _, err := core.RunAdvancedHybridCtx(context.Background(), be, s, prm.Alpha, prm.Y, core.WithCoalesce(), core.WithSplit(prm.Split)); err != nil {
+	if _, err := core.RunAdvancedHybridCtx(context.Background(), be, s, prm.Alpha, prm.Y, core.WithCoalesce(), core.WithSplit(prm.Split), core.WithHooks(Hooks(rec))); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]int32(nil), in...)

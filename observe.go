@@ -34,11 +34,7 @@ func WithMetrics(reg *Metrics) Option { return core.WithMetrics(reg) }
 // Gantt chart, or exported as Chrome trace-event JSON (WriteChromeTrace).
 // Unlike WithTrace, which prints a one-shot summary, the recorder is
 // inspectable programmatically and can be shared across runs.
-func WithSpanRecorder(rec *TraceRecorder) Option {
-	return core.WithBackendWrapper(func(be core.Backend) core.Backend {
-		return trace.Wrap(be, rec)
-	})
-}
+func WithSpanRecorder(rec *TraceRecorder) Option { return core.WithHooks(trace.Hooks(rec)) }
 
 // Tracing types, re-exported from the recorder's package.
 type (

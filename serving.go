@@ -67,9 +67,7 @@ func WithGrain(n int) Option { return core.WithGrain(n) }
 func WithTrace(w io.Writer) Option {
 	return func(c *core.RunConfig) {
 		rec := trace.NewRecorder()
-		core.WithBackendWrapper(func(be core.Backend) core.Backend {
-			return trace.Wrap(be, rec)
-		})(c)
+		WithSpanRecorder(rec)(c)
 		core.WithObserver(func(r *core.Report) {
 			state := ""
 			if r.Partial {
@@ -96,14 +94,6 @@ type (
 	// WithMaxInFlight, WithServerMetrics, WithServerRecorder,
 	// WithMaxFusedJobs, WithBatchWindow, WithFusedBytesCap).
 	ServerOption = serve.Option
-	// ServerConfig is the resolved form of the ServerOptions.
-	//
-	// Deprecated: functional options are the only documented construction
-	// path — pass ServerOptions to NewServer. ServerConfig remains solely
-	// so existing NewServerFromConfig callers keep compiling; it gains no
-	// new fields' documentation and may be unexported in a future major
-	// version. See the README's "Migrating to functional options" note.
-	ServerConfig = serve.Config
 	// JobSpec describes one job for Server.Submit. Jobs carrying a
 	// re-executing reliability policy (WithRetry, WithHedge, WithFallback)
 	// must also set Fresh, the factory re-execution starts from.
@@ -186,21 +176,6 @@ func NewServerPool(pool []Backend, opts ...ServerOption) (*Server, error) {
 	return serve.NewPool(pool, opts...)
 }
 
-// NewServerFromConfig starts a job server from a resolved ServerConfig.
-//
-// Deprecated: use NewServer with ServerOptions — the only documented
-// construction path. This wrapper remains for source compatibility only:
-//
-//	// before
-//	srv, err := hybriddc.NewServerFromConfig(hybriddc.ServerConfig{
-//	    Backend: be, QueueDepth: 256, Metrics: reg,
-//	})
-//	// after
-//	srv, err := hybriddc.NewServer(be,
-//	    hybriddc.WithQueueDepth(256),
-//	    hybriddc.WithServerMetrics(reg))
-func NewServerFromConfig(cfg ServerConfig) (*Server, error) { return serve.NewFromConfig(cfg) }
-
 // WithQueueDepth bounds the server's admission queue: Submit rejects with
 // ErrQueueFull once n jobs are waiting.
 func WithQueueDepth(n int) ServerOption { return serve.WithQueueDepth(n) }
@@ -247,8 +222,8 @@ func WithBreaker(threshold int, cooldown time.Duration) ServerOption {
 	return serve.WithBreaker(threshold, cooldown)
 }
 
-// WithServerFaults wraps every job attempt's backend with the fault
-// injector — the chaos-testing hook exercised by `hpuserve --chaos`.
+// WithServerFaults injects the fault injector's seeded failures into every
+// job attempt — the chaos-testing hook exercised by `hpuserve --chaos`.
 func WithServerFaults(in *FaultInjector) ServerOption { return serve.WithFaults(in) }
 
 // WithDeviceFaults overrides WithServerFaults for one pool device, so a
@@ -346,8 +321,8 @@ type (
 // injector for chaos testing.
 func NewFaultInjector(cfg FaultsConfig) (*FaultInjector, error) { return faults.New(cfg) }
 
-// TraceRecorder collects execution spans (see ServerConfig.Trace and the
-// internal/trace package).
+// TraceRecorder collects execution spans (see WithSpanRecorder,
+// WithServerRecorder and the internal/trace package).
 type TraceRecorder = trace.Recorder
 
 // NewTraceRecorder returns an empty span recorder.
