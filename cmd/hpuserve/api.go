@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -457,16 +458,25 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 		h *hybriddc.RemoteHandle
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	// Deliberately slow, deterministic drain jobs: large single-CPU
+	// sequential sorts keep the drain window open long enough to observe
+	// admission refusal. The window only opens if the jobs outlast their
+	// own submission, so they travel as binary frames (cheap to send next
+	// to a 2^20-element sort) with their references sorted up front, and
+	// arrive back to back.
+	drainCli := hybriddc.NewAPIClient(base, hybriddc.WithAPIBinary())
+	drainJobs := make([]smokeJob, cfg.InFlight+cfg.QDepth)
+	for i := range drainJobs {
+		j := smokeJob{kind: "mergesort", data: workload.Uniform(1<<20, rng.Int63())}
+		j.sorted = slices.Clone(j.data)
+		slices.Sort(j.sorted)
+		drainJobs[i] = j
+	}
 	var inFlight []pending
-	for len(inFlight) < cfg.InFlight+cfg.QDepth {
-		// Deliberately slow, deterministic drain jobs: large single-CPU
-		// sequential sorts keep the drain window open long enough to observe
-		// admission refusal. Fill the queue to capacity; overflow means the
-		// window is as wide as it gets.
-		j := smokeJob{kind: "mergesort", data: workload.Uniform(1<<18, rng.Int63())}
-		j.sorted = append([]int32(nil), j.data...)
-		sort.Slice(j.sorted, func(a, b int) bool { return j.sorted[a] < j.sorted[b] })
-		h, err := cli.Submit(context.Background(),
+	for _, j := range drainJobs {
+		// Fill the queue to capacity; overflow means the window is as wide
+		// as it gets.
+		h, err := drainCli.Submit(context.Background(),
 			hybriddc.APIJobRequest{Algorithm: j.kind, Data: j.data, Strategy: "seq-1cpu"})
 		if err != nil {
 			var apiErr *hybriddc.APIClientError

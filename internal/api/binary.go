@@ -47,17 +47,20 @@ const (
 	frameHeaderSize = 16
 )
 
-// bufPool recycles scratch buffers across responses: SSE event encoding,
-// /metrics scrapes, and client-side frame assembly all draw from it.
+// bufPool recycles scratch buffers across responses: JSON job bodies and
+// their envelopes, SSE event encoding and /metrics scrapes all draw from it.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // getBuf leases a reset scratch buffer.
 func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
 
+// maxPooledBuf is the largest buffer putBuf keeps.
+const maxPooledBuf = 1 << 22
+
 // putBuf returns a scratch buffer, dropping outliers so one huge response
 // does not pin its allocation forever.
 func putBuf(b *bytes.Buffer) {
-	if b.Cap() > 1<<22 {
+	if b.Cap() > maxPooledBuf {
 		return
 	}
 	b.Reset()

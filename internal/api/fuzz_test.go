@@ -1,13 +1,16 @@
 package api_test
 
-// Fuzz harness for the two attacker-facing decoders: the HPU1 binary wire
-// frame (ReadInt32Frame / ReadInt64Frame) and the binary submission's query
-// parameters (RequestFromQuery). The contract under fuzzing is uniform:
-// malformed input returns an error classified dcerr.ErrBadParam — never a
-// panic, never an unclassified error that would surface as a 500. The seed
-// corpus (f.Add plus testdata/fuzz) covers the interesting malformations:
-// truncated header, truncated payload, oversized element count, wrong magic,
-// wrong element size, and non-numeric query values.
+// Fuzz harness for the attacker-facing decoders: the HPU1 binary wire
+// frame (ReadInt32Frame / ReadInt64Frame), the binary submission's query
+// parameters (RequestFromQuery) and the JSON payload codec
+// (DecodeJobRequest / DecodeJobResult). The contract under fuzzing is
+// uniform: malformed input returns an error classified dcerr.ErrBadParam —
+// never a panic, never an unclassified error that would surface as a 500.
+// The JSON decoders must also agree exactly with the encoding/json decoder
+// they replaced. The seed corpus (f.Add plus testdata/fuzz) covers the
+// interesting malformations: truncated header, truncated payload, oversized
+// element count, wrong magic, wrong element size, non-numeric query values,
+// and JSON key spellings, number forms, bounds and framing.
 //
 // `go test -run '^Fuzz'` replays the seeds (wired into `make check`);
 // `go test -fuzz FuzzReadInt32Frame ./internal/api` explores from them.
@@ -15,9 +18,11 @@ package api_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/url"
+	"reflect"
 	"testing"
 
 	"repro/internal/api"
@@ -129,4 +134,73 @@ func FuzzRequestFromQuery(f *testing.F) {
 			t.Fatalf("query round trip diverged: %+v vs %+v", req, back)
 		}
 	})
+}
+
+// FuzzDecodeJobRequest checks the JSON submission decoder against the
+// decoder it replaced, json.NewDecoder(r).Decode: same accept/reject
+// verdict, and reflect.DeepEqual values (nil vs empty slices included). An
+// accepted request must also survive EncodeJobRequest unchanged.
+func FuzzDecodeJobRequest(f *testing.F) {
+	f.Add([]byte(`{"algorithm":"mergesort","data":[3,1,2,0],"strategy":"auto"}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var want, got api.JobRequest
+		wantErr := json.NewDecoder(bytes.NewReader(b)).Decode(&want)
+		gotErr := api.DecodeJobRequest(b, &got)
+		checkAgainstOracle(t, b, want, got, wantErr, gotErr)
+		if gotErr != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := api.EncodeJobRequest(&buf, &got); err != nil {
+			t.Fatalf("re-encode %+v: %v", got, err)
+		}
+		var back api.JobRequest
+		if err := json.Unmarshal(buf.Bytes(), &back); err != nil || !reflect.DeepEqual(back, got) {
+			t.Fatalf("re-encoded %s decodes to %+v (err %v), want %+v", buf.Bytes(), back, err, got)
+		}
+	})
+}
+
+// FuzzDecodeJobResult is FuzzDecodeJobRequest for the result decoder. Its
+// re-encoding is compared with json.Marshal's under decoding, since both
+// omit empty arrays.
+func FuzzDecodeJobResult(f *testing.F) {
+	f.Add([]byte(`{"id":7,"report":{"algorithm":"scan","strategy":"bf-cpu","seconds":0.5},"scan":[1,3,6]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var want, got api.JobResult
+		wantErr := json.NewDecoder(bytes.NewReader(b)).Decode(&want)
+		gotErr := api.DecodeJobResult(b, &got)
+		checkAgainstOracle(t, b, want, got, wantErr, gotErr)
+		if gotErr != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := api.EncodeJobResult(&buf, &got); err != nil {
+			t.Fatalf("re-encode %+v: %v", got, err)
+		}
+		ref, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back, refBack api.JobResult
+		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+			t.Fatalf("re-encoded %s: %v", buf.Bytes(), err)
+		}
+		if err := json.Unmarshal(ref, &refBack); err != nil || !reflect.DeepEqual(back, refBack) {
+			t.Fatalf("re-encoded %s decodes to %+v, json.Marshal's to %+v (err %v)", buf.Bytes(), back, refBack, err)
+		}
+	})
+}
+
+func checkAgainstOracle(t *testing.T, b []byte, want, got any, wantErr, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%q: encoding/json err %v, codec err %v", b, wantErr, gotErr)
+	}
+	if gotErr != nil && !errors.Is(gotErr, dcerr.ErrBadParam) {
+		t.Fatalf("%q: codec error %v does not classify as ErrBadParam", b, gotErr)
+	}
+	if gotErr == nil && !reflect.DeepEqual(want, got) {
+		t.Fatalf("%q: encoding/json decoded %+v, codec %+v", b, want, got)
+	}
 }

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -85,7 +86,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 			return 0
 		}
 		req.Data = pooled
-	} else if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	} else if err := readJobRequest(r, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErrStatus(w, http.StatusRequestEntityTooLarge,
@@ -159,6 +160,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 
 	writeJSON(w, http.StatusAccepted, JobAccepted{ID: h.ID, Status: "queued"})
 	return h.ID
+}
+
+// readJobRequest reads a JSON submission body through a pooled buffer and
+// decodes it. The payload is copied out into an exact-size heap slice, so
+// the buffer goes straight back to the pool.
+func readJobRequest(r *http.Request, req *JobRequest) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	if r.ContentLength > 0 && r.ContentLength <= maxPooledBuf {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return err
+	}
+	return DecodeJobRequest(buf.Bytes(), req)
 }
 
 // watch releases the job's deadline timer at settlement and evicts the
@@ -285,7 +301,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) uint64 {
 		writeErr(w, err)
 		return j.id
 	}
-	writeJSON(w, http.StatusOK, res)
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := EncodeJobResult(buf, &res); err != nil {
+		writeErrStatus(w, http.StatusInternalServerError, err.Error(), "")
+		return j.id
+	}
+	buf.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes())
 	return j.id
 }
 

@@ -59,10 +59,10 @@ func strategyFromChoice(name string) Strategy {
 
 // decideAutoLocked makes (or remakes) the job's auto decision against a
 // device's calibration. allowGPU=false restricts pricing to the CPU path —
-// used while the device's breaker is shedding. The decision's predicted
-// makespan replaces the job's placement cost, so PlaceModeledWork accounts
-// the device's backlog with the same model that chose the strategy. Must
-// hold s.mu (the tuner and breaker take only their own locks).
+// used while the device's breaker is shedding. The job's placement cost
+// stays its modeled work: a calibrated decision predicts seconds, and
+// PlaceModeledWork's backlog must sum every job in one unit. Must hold s.mu
+// (the tuner and breaker take only their own locks).
 func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {
 	q.autoDecided = true
 	q.autoStrat = BreadthFirstCPU
@@ -79,7 +79,6 @@ func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {
 	q.autoCross, q.autoAlpha, q.autoY = dec.Crossover, dec.Alpha, dec.Y
 	q.autoPredicted = dec.Predicted
 	q.autoCalibr = dec.Calibrated
-	q.cost = dec.Predicted
 }
 
 // feedAutotune folds one clean, complete, metered attempt into the placed

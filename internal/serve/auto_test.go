@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/algos/dcsum"
@@ -163,5 +164,82 @@ func checkDecisionInvariant(t *testing.T, srv *serve.Server) {
 				}
 			}
 		}
+	}
+}
+
+// TestAutoBacklogSharesUnits pins PlaceModeledWork's backlog unit on a
+// 2-device autonomous pool: a calibrated auto job weighs on its device's
+// backlog like a fixed job of the same shape. (Its decision predicts
+// seconds, about 1e-3 here, while modeled work is about 1e5 units; a
+// backlog summing both made a device full of auto jobs look empty, and the
+// mix below stacked four of five jobs on device 0.) Every job blocks in a
+// gate hook, so placement sees the whole backlog.
+func TestAutoBacklogSharesUnits(t *testing.T) {
+	srv, err := serve.NewPool(newPoolBackends(t, 2), serve.WithMaxInFlight(4),
+		serve.WithAutoTuner(autotune.NewTuner(autotune.WithMinObservations(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	const n = 1 << 12
+	// Warm device 0's calibration for the bucket on both sides: on an idle
+	// pool every job places on the lower device id.
+	for _, strat := range []serve.Strategy{serve.BreadthFirstCPU, serve.GPUOnly} {
+		ms, err := mergesort.New(workload.Uniform(n, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(ctx, serve.Job{Alg: ms, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ms, _ := mergesort.New(workload.Uniform(n, 1))
+	sp := autotune.Spec{
+		Alg: ms.Name(), N: n, A: ms.Arity(), B: ms.Shrink(), Levels: ms.Levels(),
+		F: ms.ModelF(), Leaf: ms.ModelLeaf(), P: 2, G: 4, Gamma: 0.5,
+		Bytes: ms.GPUBytes(0, 0, 1), HasGPU: true,
+	}
+	if dec, err := srv.Tuner().Decide(0, sp); err != nil || !dec.Calibrated {
+		t.Fatalf("device 0 decision %+v (err %v) is not calibrated: the test must mix units", dec, err)
+	}
+	before := srv.Stats()
+	if before.Devices[1].Placements != 0 {
+		t.Fatalf("warm-up placed %d jobs on device 1, want 0", before.Devices[1].Placements)
+	}
+
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+	hold := core.WithHooks(core.Hooks{Gate: func(_ bool, run, _ func()) { <-gate; run() }})
+	var handles []*serve.Handle
+	for i, strat := range []serve.Strategy{serve.Auto, serve.BreadthFirstCPU, serve.Auto, serve.Auto, serve.BreadthFirstCPU} {
+		ms, err := mergesort.New(workload.Uniform(n, int64(i+2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(ctx, serve.Job{Alg: ms, Strategy: strat}, hold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+		waitInFlight(t, srv, i+1)
+	}
+	st := srv.Stats()
+	openGate()
+	for _, h := range handles {
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d0 := st.Devices[0].Placements - before.Devices[0].Placements
+	d1 := st.Devices[1].Placements - before.Devices[1].Placements
+	// Equal modeled costs alternate devices, ties to the lower id.
+	if d0 != 3 || d1 != 2 {
+		t.Errorf("placements (d0, d1) = (%d, %d), want (3, 2)", d0, d1)
 	}
 }
