@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check bench bench-serve bench-cpu bench-multi bench-alloc bench-auto
+.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke perfbench-test check bench bench-serve bench-cpu bench-multi bench-alloc bench-auto
 
 all: check
 
@@ -77,6 +77,12 @@ chaos-smoke:
 # closes.
 api-smoke:
 	$(GO) run ./cmd/hpuserve --api-smoke
+
+# The repository benchmark's own tests. perfbench is a nested module, so
+# `go test ./...` from the root never builds it; this runs its generator,
+# metric catalogue and bit-exact output gate against the current tree.
+perfbench-test:
+	$(GO) -C perfbench test .
 
 check: build vet race fuzz-smoke smoke
 

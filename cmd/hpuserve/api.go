@@ -453,17 +453,15 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 	// Phase 5: SIGTERM drain. Park slow jobs in flight, then signal
 	// ourselves; every accepted job must produce a verified result before
 	// the listener closes, while new submissions bounce with 503.
-	type pending struct {
-		j smokeJob
-		h *hybriddc.RemoteHandle
-	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	// Deliberately slow, deterministic drain jobs: large single-CPU
 	// sequential sorts keep the drain window open long enough to observe
 	// admission refusal. The window only opens if the jobs outlast their
 	// own submission, so they travel as binary frames (cheap to send next
 	// to a 2^20-element sort) with their references sorted up front, and
-	// arrive back to back.
+	// are all uploaded at once: the first accepted jobs start sorting
+	// while the rest upload, and one upload after another would leave
+	// the sorts most of the CPU and finish them before the signal.
 	drainCli := hybriddc.NewAPIClient(base, hybriddc.WithAPIBinary())
 	drainJobs := make([]smokeJob, cfg.InFlight+cfg.QDepth)
 	for i := range drainJobs {
@@ -472,55 +470,67 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 		slices.Sort(j.sorted)
 		drainJobs[i] = j
 	}
-	var inFlight []pending
-	for _, j := range drainJobs {
-		// Fill the queue to capacity; overflow means the window is as wide
-		// as it gets.
-		h, err := drainCli.Submit(context.Background(),
-			hybriddc.APIJobRequest{Algorithm: j.kind, Data: j.data, Strategy: "seq-1cpu"})
-		if err != nil {
-			var apiErr *hybriddc.APIClientError
-			if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests {
-				break // admission is full: window secured
-			}
-			return fmt.Errorf("api-smoke drain setup: %w", err)
-		}
-		inFlight = append(inFlight, pending{j, h})
-	}
-	if len(inFlight) == 0 {
-		return fmt.Errorf("api-smoke drain setup: no jobs accepted")
-	}
-	// Start the result waits before signaling: these requests ride out the
-	// drain on connections that stay served until the jobs settle. The
-	// route counter tells us when every wait is parked server-side, so the
-	// SIGTERM below cannot race them against the listener close.
+	// Each job's result wait starts as soon as the job is accepted: the
+	// waits ride out the drain on connections that stay served until the
+	// jobs settle. The route counter tells us when every wait is parked
+	// server-side, so the SIGTERM below cannot race them against the
+	// listener close.
 	waitBase, err := resultRequests(cli)
 	if err != nil {
 		return err
 	}
-	results := make(chan error, len(inFlight))
-	for _, p := range inFlight {
-		go func(p pending) {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			res, err := p.h.Wait(ctx)
+	results := make(chan error, len(drainJobs))
+	setupErr := make(chan error, len(drainJobs))
+	var (
+		submits   sync.WaitGroup
+		nAccepted atomic.Int64
+	)
+	for _, j := range drainJobs {
+		submits.Add(1)
+		go func(j smokeJob) {
+			h, err := drainCli.Submit(context.Background(),
+				hybriddc.APIJobRequest{Algorithm: j.kind, Data: j.data, Strategy: "seq-1cpu"})
 			if err != nil {
-				results <- fmt.Errorf("drain job %d: %w", p.h.ID(), err)
+				// A 429 means the queue is full: the window is as wide as
+				// it gets.
+				var apiErr *hybriddc.APIClientError
+				if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+					setupErr <- fmt.Errorf("api-smoke drain setup: %w", err)
+				}
+				submits.Done()
 				return
 			}
-			results <- checkSmokeResult(p.j, res)
-		}(p)
+			nAccepted.Add(1)
+			submits.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			res, err := h.Wait(ctx)
+			if err != nil {
+				results <- fmt.Errorf("drain job %d: %w", h.ID(), err)
+				return
+			}
+			results <- checkSmokeResult(j, res)
+		}(j)
+	}
+	submits.Wait()
+	close(setupErr)
+	if err := <-setupErr; err != nil {
+		return err
+	}
+	accepted := int(nAccepted.Load())
+	if accepted == 0 {
+		return fmt.Errorf("api-smoke drain setup: no jobs accepted")
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		n, err := resultRequests(cli)
 		if err != nil {
 			return err
 		}
-		if n >= waitBase+uint64(len(inFlight)) {
+		if n >= waitBase+uint64(accepted) {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("api-smoke: result waits never reached the server (%d of %d)", n-waitBase, len(inFlight))
+			return fmt.Errorf("api-smoke: result waits never reached the server (%d of %d)", n-waitBase, accepted)
 		}
 	}
 	// Probe admission continuously from before the signal until either a 503
@@ -552,7 +562,7 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 	if !<-refusedCh {
 		return fmt.Errorf("api-smoke: submissions never refused with 503 during drain")
 	}
-	for range inFlight {
+	for range accepted {
 		if err := <-results; err != nil {
 			return fmt.Errorf("api-smoke drain: %w", err)
 		}

@@ -24,26 +24,22 @@ func decodeInt32s(data []byte) []int32 {
 	}
 }
 
-// FuzzMergeRuns checks that merging two individually-sorted halves always
-// yields the reference sort of their concatenation.
+// FuzzMergeRuns checks the branch-free mergeRuns against mergeRunsOracle on
+// byte-derived runs. Each input is merged twice: as two equal halves (the
+// two-ended path) and split at an arbitrary point, which gives unequal or
+// empty halves (the one-ended path and its tail copies). checkMerge also
+// fails on any write outside the merged range.
 func FuzzMergeRuns(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0}, uint8(2))
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0}, uint8(1))
+	f.Add([]byte{0, 0, 0, 128, 255, 255, 255, 127, 0, 0, 0, 128, 0, 0, 0, 0, 7, 0, 0, 0}, uint8(0))
+	f.Add([]byte{5, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, splitRaw uint8) {
 		vals := decodeInt32s(data)
-		if len(vals) < 2 {
-			t.Skip()
-		}
-		split := 1 + int(splitRaw)%(len(vals)-1)
-		a := append([]int32(nil), vals[:split]...)
-		b := append([]int32(nil), vals[split:]...)
-		Sort(a)
-		Sort(b)
-		out := make([]int32, len(vals))
-		mergeRuns(out, a, b)
-		if !equal(out, reference(vals)) {
-			t.Fatalf("mergeRuns(%v, %v) = %v", a, b, out)
-		}
+		half := len(vals) / 2
+		checkMerge(t, sortedCopy(vals[:half]), sortedCopy(vals[half:2*half]))
+		split := int(splitRaw) % (len(vals) + 1)
+		checkMerge(t, sortedCopy(vals[:split]), sortedCopy(vals[split:]))
 	})
 }
 

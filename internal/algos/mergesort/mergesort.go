@@ -270,30 +270,60 @@ func (s *Sorter) ModelF() func(float64) float64 {
 // ModelLeaf returns the model-level base-case cost (none for mergesort).
 func (s *Sorter) ModelLeaf() float64 { return 0 }
 
-// mergeRuns merges the sorted runs a and b into out. len(out) must be
-// len(a)+len(b).
+// mergeRuns merges the sorted runs a and b into out[:len(a)+len(b)]; ties
+// take the element of a first. It writes nothing beyond len(a)+len(b).
+//
+// The kernel is branch-free: each step writes the smaller (or larger) head
+// with a conditional move and advances the cursors arithmetically from the
+// same comparison, so random input costs no mispredicted branches. When the
+// halves are equal in length, as in every merge of a power-of-two sort, it
+// merges from both ends at once. The front emits the minimum (ties from a),
+// the back the maximum (ties from b), and each end emits exactly half: after
+// k < len(a) steps an end has taken k elements from a and b together, so
+// neither of its cursors has left its half and no end test is needed. The
+// two ends are independent dependency chains the CPU overlaps. Unequal
+// halves take the one-ended loop and copy the remaining tail.
 func mergeRuns(out, a, b []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
+	n := len(a)
+	if n == len(b) {
+		front, back := out[:n], out[n:2*n]
+		i, j := 0, 0       // front cursors
+		ia, jb := n-1, n-1 // back cursors
+		for k := range front {
+			x, y := a[i], b[j]
+			front[k] = min(x, y)
+			c := 0
+			if y < x {
+				c = 1
+			}
+			i += 1 - c
+			j += c
+
+			x, y = a[ia], b[jb]
+			back[n-1-k] = max(x, y)
+			d := 0
+			if x > y {
+				d = 1
+			}
+			ia -= d
+			jb -= 1 - d
 		}
+		return
+	}
+	i, j, k := 0, 0, 0
+	for i < n && j < len(b) {
+		x, y := a[i], b[j]
+		out[k] = min(x, y)
+		c := 0
+		if y < x {
+			c = 1
+		}
+		i += 1 - c
+		j += c
 		k++
 	}
-	for i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 }
 
 // mergeInterleaved merges runs 2t and 2t+1 of an interleaved region (count

@@ -54,10 +54,18 @@ func extractResult(res *JobResult, alg core.Alg) error {
 // caller's Request-Timeout into the job context, submit, and track the
 // handle. Returns the job ID for request-span tagging.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
-	if s.draining.Load() {
+	if !s.admit() {
 		writeErr(w, fmt.Errorf("api: shutting down: %w", dcerr.ErrServerClosed))
 		return 0
 	}
+	// The drain counts this submission from admission on; watch releases
+	// it once the job is tracked, the deferred Done on every other path.
+	tracked := false
+	defer func() {
+		if !tracked {
+			s.jobsWG.Done()
+		}
+	}()
 	timeout, err := ParseTimeout(r.Header.Get(RequestTimeoutHeader))
 	if err != nil {
 		writeErr(w, err)
@@ -155,11 +163,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 	s.mu.Lock()
 	s.jobs[h.ID] = j
 	s.mu.Unlock()
-	s.jobsWG.Add(1)
+	tracked = true
 	go s.watch(j)
 
 	writeJSON(w, http.StatusAccepted, JobAccepted{ID: h.ID, Status: "queued"})
 	return h.ID
+}
+
+// admit counts a submission into the drain unless Shutdown has begun. The
+// check and the jobsWG.Add share s.mu with Shutdown's switch to draining,
+// so every Add happens before Shutdown's Wait: a submission either is
+// refused or is waited for.
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.jobsWG.Add(1)
+	return true
 }
 
 // readJobRequest reads a JSON submission body through a pooled buffer and

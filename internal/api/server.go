@@ -219,7 +219,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // being served — and only then does the listener close. ctx bounds the whole
 // wait; on expiry in-flight connections are closed forcibly.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock() // orders every admitted submission before the Wait (see admit)
 	s.draining.Store(true)
+	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.jobsWG.Wait()

@@ -224,10 +224,13 @@ func (s *Server) runFused(d *device, head *queued) bool {
 			merr = fmt.Errorf("serve: job %d: %w", q.h.ID, err)
 		}
 		q.h.rep, q.h.err = rep, merr
-		close(q.h.done)
 	}
 
 	s.mu.Lock()
+	// Settle under the lock, as run does.
+	for _, q := range live {
+		close(q.h.done)
+	}
 	s.finishJobLocked(d, head)
 	if len(live) >= 2 {
 		s.stats.FusedRuns++
@@ -250,8 +253,8 @@ func (s *Server) settleQueuedCanceled(q *queued) {
 	q.h.queueWait = time.Since(q.wallIn).Seconds()
 	q.h.rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
 	q.h.err = fmt.Errorf("serve: job %d canceled while queued: %w", q.h.ID, dcerr.ErrCanceled)
-	close(q.h.done)
 	s.mu.Lock()
+	close(q.h.done)
 	s.accountFinishedLocked(q, q.h.rep, q.h.err)
 	s.updateFusionRatioLocked()
 	s.mu.Unlock()

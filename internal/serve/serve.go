@@ -850,9 +850,10 @@ func (s *Server) run(d *device, q *queued) {
 	}
 
 	q.h.rep, q.h.err = rep, err
-	close(q.h.done)
-
 	s.mu.Lock()
+	// Settle under the lock, so a caller woken by Done sees the job
+	// accounted in Stats.
+	close(q.h.done)
 	s.finishJobLocked(d, q)
 	s.accountFinishedLocked(q, rep, err)
 	s.updateFusionRatioLocked()
