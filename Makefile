@@ -1,11 +1,16 @@
-# Development entry points. `make check` is the CI gate: full build, vet,
+# Development entry points. `make check` is the CI gate: gofmt, full build, vet,
 # race-enabled tests, and the serving layer's self-checking load smoke.
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke perfbench-test check bench bench-serve bench-cpu bench-multi bench-alloc bench-auto
+.PHONY: all fmt build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke perfbench-test check bench bench-serve bench-cpu bench-multi bench-alloc bench-auto
 
 all: check
+
+# Formatting gate: fails, listing the files, if gofmt would rewrite any
+# Go file in the tree.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -84,7 +89,7 @@ api-smoke:
 perfbench-test:
 	$(GO) -C perfbench test .
 
-check: build vet race fuzz-smoke smoke
+check: fmt build vet race fuzz-smoke smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -97,12 +102,10 @@ bench:
 bench-serve:
 	$(GO) run ./cmd/hpuserve --bench-fusion --bench-out BENCH_serve.json
 
-# Breadth-first CPU executor: legacy channel pool vs work-stealing engine vs
-# engine with automatic leaf coarsening, for mergesort/dcsum/scan at three
-# sizes (every run verified bit-identical against the sequential baseline),
-# plus the saturated-dispatch comparison where the engine's 2x acceptance
-# floor is enforced. Writes BENCH_cpu.json and a markdown table for the CI
-# job summary.
+# Breadth-first CPU executor: the work-stealing engine without and with
+# automatic leaf coarsening, for mergesort/dcsum/scan at three sizes. Exits
+# nonzero if any run is not bit-identical to the sequential baseline.
+# Writes BENCH_cpu.json and a markdown table for the CI job summary.
 bench-cpu:
 	$(GO) run ./cmd/hpuserve --bench-cpu --bench-cpu-out BENCH_cpu.json --bench-cpu-summary BENCH_cpu.md
 

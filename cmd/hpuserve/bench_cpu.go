@@ -6,52 +6,25 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sync"
 	"time"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/native"
 	"repro/internal/workload"
 )
 
-// cpuBenchRow is one end-to-end row of BENCH_cpu.json: breadth-first CPU
-// makespan for one algorithm/size under the three executors the PR compares
-// — the old channel fan-out pool (Config.LegacyPool), the work-stealing
-// engine, and the engine with automatic leaf coarsening
-// (WithGrain(GrainAuto)). On a single-core host these runs are bound by the
-// algorithm's own compute (for mergesort 1M the merge kernel is >90% of the
-// profile), so the executor deltas here are small; the dispatch section
-// below isolates the scheduling term the engine actually optimizes.
+// cpuBenchRow is one row of BENCH_cpu.json: breadth-first CPU makespan for
+// one algorithm/size on the work-stealing engine, without and with
+// automatic leaf coarsening (WithGrain(GrainAuto)). Both runs are checked
+// bit-identical against the sequential baseline.
 type cpuBenchRow struct {
 	Alg             string  `json:"alg"`
 	Size            int     `json:"size"`
-	LegacySeconds   float64 `json:"legacy_pool_seconds"`
 	EngineSeconds   float64 `json:"engine_seconds"`
 	GrainSeconds    float64 `json:"engine_grain_seconds"`
-	LegacyNsPerElem float64 `json:"legacy_pool_ns_per_elem"`
 	EngineNsPerElem float64 `json:"engine_ns_per_elem"`
 	GrainNsPerElem  float64 `json:"engine_grain_ns_per_elem"`
-	EngineSpeedup   float64 `json:"engine_speedup"`
 	GrainSpeedup    float64 `json:"grain_speedup"`
 	Identical       bool    `json:"results_identical"`
-}
-
-// dispatchRow is one saturated-submission row of BENCH_cpu.json: several
-// goroutines flooding the CPU executor with small batches, the serving
-// layer's hot-path pattern. Here the legacy pool's per-chunk closure
-// allocations, channel sends, gauge atomics, and full-channel goroutine
-// fallback dominate, and the stealing engine's advantage is measured
-// directly. The 2x acceptance floor is enforced on these rows.
-type dispatchRow struct {
-	Submitters          int     `json:"submitters"`
-	Batches             int     `json:"batches_per_submitter"`
-	Tasks               int     `json:"tasks_per_batch"`
-	LegacySubmitsPerSec float64 `json:"legacy_pool_submits_per_sec"`
-	EngineSubmitsPerSec float64 `json:"engine_submits_per_sec"`
-	LegacyNsPerSubmit   float64 `json:"legacy_pool_ns_per_submit"`
-	EngineNsPerSubmit   float64 `json:"engine_ns_per_submit"`
-	Speedup             float64 `json:"speedup"`
 }
 
 // cpuBenchCase binds an algorithm constructor to a result extractor so every
@@ -90,25 +63,21 @@ func cpuBenchCases() []cpuBenchCase {
 	}
 }
 
-// runCPUBench measures the breadth-first CPU path under the legacy channel
-// pool, the work-stealing engine, and the engine with automatic leaf
-// coarsening: end-to-end makespans for mergesort/dcsum/scan at three sizes
-// (every run verified bit-identical against the sequential baseline), plus
-// the saturated-submission dispatch comparison. The best of `reps`
-// wall-clock repetitions is kept per configuration (standard noise
-// rejection). Rows go to out as JSON plus benchstat-style delta lines on
-// stdout and, when summary is nonempty, markdown tables for the CI job
-// summary. It fails (nonzero exit) when any result differs or when the
-// engine's saturated-dispatch speedup falls below the 2x acceptance floor.
+// runCPUBench measures the breadth-first CPU path on the work-stealing
+// engine, without and with automatic leaf coarsening: end-to-end makespans
+// for mergesort/dcsum/scan at three sizes, every run verified bit-identical
+// against the sequential baseline. The best of `reps` wall-clock
+// repetitions is kept per configuration (standard noise rejection). Rows go
+// to out as JSON plus delta lines on stdout and, when summary is nonempty,
+// a markdown table for the CI job summary. It fails (nonzero exit) when any
+// result differs.
 func runCPUBench(out, summary string, workers, reps int) error {
 	modes := []struct {
-		name   string
-		legacy bool
-		opts   []hybriddc.Option
+		name string
+		opts []hybriddc.Option
 	}{
-		{"legacy-pool", true, nil},
-		{"engine", false, nil},
-		{"engine+grain", false, []hybriddc.Option{hybriddc.WithGrain(hybriddc.GrainAuto)}},
+		{"engine", nil},
+		{"engine+grain", []hybriddc.Option{hybriddc.WithGrain(hybriddc.GrainAuto)}},
 	}
 
 	var rows []cpuBenchRow
@@ -129,7 +98,7 @@ func runCPUBench(out, summary string, workers, reps int) error {
 			secs := make([]float64, len(modes))
 			identical := true
 			for mi, m := range modes {
-				be, err := hybriddc.NewNative(hybriddc.NativeConfig{CPUWorkers: workers, LegacyPool: m.legacy})
+				be, err := hybriddc.NewNative(hybriddc.NativeConfig{CPUWorkers: workers})
 				if err != nil {
 					return err
 				}
@@ -161,38 +130,20 @@ func runCPUBench(out, summary string, workers, reps int) error {
 
 			row := cpuBenchRow{
 				Alg: tc.name, Size: n,
-				LegacySeconds:   secs[0],
-				EngineSeconds:   secs[1],
-				GrainSeconds:    secs[2],
-				LegacyNsPerElem: secs[0] * 1e9 / float64(n),
-				EngineNsPerElem: secs[1] * 1e9 / float64(n),
-				GrainNsPerElem:  secs[2] * 1e9 / float64(n),
-				EngineSpeedup:   secs[0] / secs[1],
-				GrainSpeedup:    secs[0] / secs[2],
+				EngineSeconds:   secs[0],
+				GrainSeconds:    secs[1],
+				EngineNsPerElem: secs[0] * 1e9 / float64(n),
+				GrainNsPerElem:  secs[1] * 1e9 / float64(n),
+				GrainSpeedup:    secs[0] / secs[1],
 				Identical:       identical,
 			}
 			rows = append(rows, row)
-			fmt.Printf("%-10s n=%-8d legacy %9.3fms  engine %9.3fms (%+.1f%%)  engine+grain %9.3fms (%+.1f%%)\n",
-				tc.name, n, 1e3*secs[0],
-				1e3*secs[1], 100*(secs[1]-secs[0])/secs[0],
-				1e3*secs[2], 100*(secs[2]-secs[0])/secs[0])
+			fmt.Printf("%-10s n=%-8d engine %9.3fms  engine+grain %9.3fms (%+.1f%%)\n",
+				tc.name, n, 1e3*secs[0], 1e3*secs[1], 100*(secs[1]-secs[0])/secs[0])
 
 			if !identical {
 				return fmt.Errorf("bench-cpu %s n=%d: results differ from sequential baseline", tc.name, n)
 			}
-		}
-	}
-
-	dispatch, err := runDispatchBench(workers, reps)
-	if err != nil {
-		return err
-	}
-	for _, d := range dispatch {
-		fmt.Printf("dispatch submitters=%-3d batches=%-5d tasks=%-3d legacy %8.0f submits/s  engine %8.0f submits/s  speedup %.2fx\n",
-			d.Submitters, d.Batches, d.Tasks, d.LegacySubmitsPerSec, d.EngineSubmitsPerSec, d.Speedup)
-		if d.Speedup < 2.0 {
-			return fmt.Errorf("bench-cpu dispatch submitters=%d tasks=%d: speedup %.2fx below the 2x acceptance floor",
-				d.Submitters, d.Tasks, d.Speedup)
 		}
 	}
 
@@ -205,7 +156,6 @@ func runCPUBench(out, summary string, workers, reps int) error {
 	if err := enc.Encode(map[string]any{
 		"workers":    workers,
 		"end_to_end": rows,
-		"dispatch":   dispatch,
 	}); err != nil {
 		f.Close()
 		return err
@@ -216,7 +166,7 @@ func runCPUBench(out, summary string, workers, reps int) error {
 	fmt.Printf("wrote %s\n", out)
 
 	if summary != "" {
-		if err := writeCPUBenchSummary(summary, workers, rows, dispatch); err != nil {
+		if err := writeCPUBenchSummary(summary, workers, rows); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", summary)
@@ -224,112 +174,21 @@ func runCPUBench(out, summary string, workers, reps int) error {
 	return nil
 }
 
-// runDispatchBench floods the CPU executor from several goroutines with
-// small batches — the serving layer's hot-path pattern — and reports
-// submits/sec for the legacy pool vs the stealing engine, best of reps.
-func runDispatchBench(workers, reps int) ([]dispatchRow, error) {
-	configs := [][3]int{
-		{8, 5000, 8},
-		{8, 5000, 64},
-		{16, 2000, 16},
-	}
-
-	runOnce := func(legacy bool, submitters, batches, tasks int) (float64, error) {
-		be, err := native.New(native.Config{CPUWorkers: workers, LegacyPool: legacy})
-		if err != nil {
-			return 0, err
-		}
-		defer be.Close()
-		cpu := be.CPU()
-		var sink [256]int64
-		start := time.Now()
-		var wg sync.WaitGroup
-		for s := 0; s < submitters; s++ {
-			s := s
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var done sync.WaitGroup
-				for b := 0; b < batches; b++ {
-					done.Add(1)
-					cpu.Submit(core.Batch{Tasks: tasks, Run: func(i int) {
-						sink[(s*31+i)%256]++
-					}}, done.Done)
-				}
-				done.Wait()
-			}()
-		}
-		wg.Wait()
-		be.Wait()
-		return time.Since(start).Seconds(), nil
-	}
-
-	var out []dispatchRow
-	for _, cfg := range configs {
-		submitters, batches, tasks := cfg[0], cfg[1], cfg[2]
-		// Warm both executors (worker startup, pools).
-		if _, err := runOnce(true, 2, 200, tasks); err != nil {
-			return nil, err
-		}
-		if _, err := runOnce(false, 2, 200, tasks); err != nil {
-			return nil, err
-		}
-		lt, et := 0.0, 0.0
-		for r := 0; r < reps; r++ {
-			l, err := runOnce(true, submitters, batches, tasks)
-			if err != nil {
-				return nil, err
-			}
-			e, err := runOnce(false, submitters, batches, tasks)
-			if err != nil {
-				return nil, err
-			}
-			if lt == 0 || l < lt {
-				lt = l
-			}
-			if et == 0 || e < et {
-				et = e
-			}
-		}
-		n := float64(submitters * batches)
-		out = append(out, dispatchRow{
-			Submitters: submitters, Batches: batches, Tasks: tasks,
-			LegacySubmitsPerSec: n / lt,
-			EngineSubmitsPerSec: n / et,
-			LegacyNsPerSubmit:   lt * 1e9 / n,
-			EngineNsPerSubmit:   et * 1e9 / n,
-			Speedup:             lt / et,
-		})
-	}
-	return out, nil
-}
-
-// writeCPUBenchSummary renders the rows as markdown tables suitable for
+// writeCPUBenchSummary renders the rows as a markdown table suitable for
 // appending to $GITHUB_STEP_SUMMARY.
-func writeCPUBenchSummary(path string, workers int, rows []cpuBenchRow, dispatch []dispatchRow) error {
+func writeCPUBenchSummary(path string, workers int, rows []cpuBenchRow) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	fmt.Fprintf(f, "### CPU breadth-first executor, end to end (%d workers, best of reps)\n\n", workers)
-	fmt.Fprintln(f, "| alg | n | legacy pool | engine | Δ | engine+grain | Δ |")
-	fmt.Fprintln(f, "|---|---:|---:|---:|---:|---:|---:|")
+	fmt.Fprintln(f, "| alg | n | engine | engine+grain | Δ |")
+	fmt.Fprintln(f, "|---|---:|---:|---:|---:|")
 	for _, r := range rows {
-		fmt.Fprintf(f, "| %s | %d | %.3fms | %.3fms | %+.1f%% | %.3fms | %+.1f%% |\n",
-			r.Alg, r.Size,
-			1e3*r.LegacySeconds,
-			1e3*r.EngineSeconds, 100*(r.EngineSeconds-r.LegacySeconds)/r.LegacySeconds,
-			1e3*r.GrainSeconds, 100*(r.GrainSeconds-r.LegacySeconds)/r.LegacySeconds)
-	}
-	fmt.Fprintf(f, "\n### Saturated dispatch (submits/sec, 2x floor)\n\n")
-	fmt.Fprintln(f, "| submitters | batches | tasks | legacy pool | engine | speedup |")
-	fmt.Fprintln(f, "|---:|---:|---:|---:|---:|---:|")
-	for _, d := range dispatch {
-		fmt.Fprintf(f, "| %d | %d | %d | %.0f/s (%.0fns) | %.0f/s (%.0fns) | %.2fx |\n",
-			d.Submitters, d.Batches, d.Tasks,
-			d.LegacySubmitsPerSec, d.LegacyNsPerSubmit,
-			d.EngineSubmitsPerSec, d.EngineNsPerSubmit, d.Speedup)
+		fmt.Fprintf(f, "| %s | %d | %.3fms | %.3fms | %+.1f%% |\n",
+			r.Alg, r.Size, 1e3*r.EngineSeconds,
+			1e3*r.GrainSeconds, 100*(r.GrainSeconds-r.EngineSeconds)/r.EngineSeconds)
 	}
 	return nil
 }

@@ -83,7 +83,7 @@ func main() {
 		benchAuto    = flag.Bool("bench-auto", false, "benchmark Strategy Auto vs every fixed strategy across a size sweep on the simulator, write BENCH_auto.json, gate the within-10%-of-best and beats-worst-1.5x floors, and exit")
 		benchAutoOut = flag.String("bench-auto-out", "BENCH_auto.json", "output path for --bench-auto results")
 
-		benchCPU        = flag.Bool("bench-cpu", false, "benchmark the breadth-first CPU executor (legacy pool vs stealing engine vs engine+grain), write BENCH_cpu.json, and exit")
+		benchCPU        = flag.Bool("bench-cpu", false, "benchmark the breadth-first CPU executor (stealing engine vs engine+grain), write BENCH_cpu.json, and exit")
 		benchCPUOut     = flag.String("bench-cpu-out", "BENCH_cpu.json", "output path for --bench-cpu results")
 		benchCPUSummary = flag.String("bench-cpu-summary", "", "also write --bench-cpu results as a markdown table to this path (for CI job summaries)")
 		benchCPUReps    = flag.Int("bench-cpu-reps", 5, "wall-clock repetitions per --bench-cpu configuration (best kept)")

@@ -236,7 +236,12 @@ func TuneGrain(trial func(grain int) (float64, error), cfg TuneGrainConfig) (Tun
 
 // RunMultiGPUCtx is the §3.2 multiple-cards extension of the advanced
 // division, with cancellation and functional options; use it with
-// NewMultiSim (or any backend exposing several devices through GPUs()).
+// NewMultiSim (or any backend exposing several devices through GPUs()). It
+// runs the same body as RunAdvancedHybridCtx with the GPU portion striped
+// over the devices, so hook sets, metrics and WithGrain apply on every
+// device, and on one device the two runs are identical.
+// Report.GPUPortionSeconds is the latest stripe's device-done time (after
+// its download) measured from the fork.
 var RunMultiGPUCtx = core.RunMultiGPUCtx
 
 // MultiSim is a simulated HPU with several GPU devices sharing one link.

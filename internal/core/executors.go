@@ -25,9 +25,10 @@ type Report struct {
 	// the CPU finished its α-portion (measured from the fork); for other
 	// strategies it is the time spent in CPU phases.
 	CPUPortionSeconds float64
-	// GPUPortionSeconds is the time at which the GPU chain (including the
-	// transfer back) finished, measured from the fork; for GPU-only runs
-	// it is the device-resident time excluding transfers.
+	// GPUPortionSeconds is, for the advanced strategy, the time at which
+	// the GPU portion's transfer back finished (on several devices, the
+	// latest stripe's), measured from the fork; for GPU-only runs it is the
+	// device-resident time excluding transfers.
 	GPUPortionSeconds float64
 	// Partial reports that the run was canceled at a level boundary before
 	// completing; the instance's result data is not valid.
@@ -411,6 +412,25 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 	if err := checkOpen(be); err != nil {
 		return Report{}, err
 	}
+	var devices []LevelExecutor
+	if g := be.GPU(); g != nil {
+		devices = []LevelExecutor{g}
+	}
+	return runAdvanced(ctx, be, &cfg, alg, alpha, y, devices, func(int) string { return "advanced-hybrid" })
+}
+
+// runAdvanced is the advanced division over a device list, the one body
+// behind RunAdvancedHybridCtx (one device) and RunMultiGPUCtx (the §3.2
+// extension to several). The GPU portion is striped over the first
+// k = min(len(devices), GPU-portion width) devices, each stripe an equal
+// contiguous share with its own pair of link crossings. be is the run's
+// backend as instrument returned it, and devices come from it, so every
+// submission passes the run's hook sets. strategy names the run given k.
+//
+// Report.CPUPortionSeconds is the CPU chain's finish and GPUPortionSeconds
+// the latest stripe's device-done time (after its download), both measured
+// from the fork.
+func runAdvanced(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg, alpha float64, y int, devices []LevelExecutor, strategy func(stripes int) string) (Report, error) {
 	L := alg.Levels()
 	a := alg.Arity()
 	if alpha < 0 || alpha > 1 {
@@ -419,7 +439,7 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 	if y < 0 || y > L {
 		return Report{}, fmt.Errorf("core: transfer level %d out of range [0,%d]: %w", y, L, dcerr.ErrBadLevel)
 	}
-	if be.GPU() == nil {
+	if len(devices) == 0 {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
 	s := DefaultSplit(alg, be.CPU().Parallelism(), alpha, y)
@@ -485,58 +505,77 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 		}
 	}
 
-	// GPU chain over portion [cCount, width).
-	gpuChain := getSteps()
-	defer func() { putSteps(gpuChain) }()
-	var gpuDeviceDone float64
+	// One chain per stripe of the GPU portion [cCount, width): stripe d is
+	// a contiguous share on devices[d]. Each stripe stages into a leased
+	// device segment when the backend pools device memory, released with
+	// the run.
+	type stripe struct {
+		chain    []step
+		seg      *Segment
+		doneAt   float64 // device-done time, after the download
+		canceled bool
+	}
+	gCount := width - cCount
+	stripes := make([]stripe, min(len(devices), gCount))
+	defer func() {
+		for i := range stripes {
+			stripes[i].seg.Release()
+			putSteps(stripes[i].chain)
+		}
+	}()
 	tr, _ := alg.(Transformable)
 	sa, _ := be.(SegmentAllocator)
-	var seg *Segment
-	defer func() { seg.Release() }()
-	if cCount < width {
-		bytes := alg.GPUBytes(s, cCount, width)
-		if sa != nil {
-			gpuChain = append(gpuChain, func(next func()) { seg = sa.AllocSegment(bytes); next() })
+	for d := range stripes {
+		st, dev := &stripes[d], devices[d]
+		per, extra := gCount/len(stripes), gCount%len(stripes)
+		c0 := cCount + d*per + min(d, extra)
+		c1 := c0 + per
+		if d < extra {
+			c1++
 		}
-		gpuChain = append(gpuChain, func(next func()) { be.TransferToGPU(bytes, next) })
+		chain := getSteps()
+		bytes := alg.GPUBytes(s, c0, c1)
+		if sa != nil {
+			chain = append(chain, func(next func()) { st.seg = sa.AllocSegment(bytes); next() })
+		}
+		chain = append(chain, func(next func()) { be.TransferToGPU(bytes, next) })
 		for l := s; l < L; l++ {
-			lo, hi := at(l, cCount, width)
+			lo, hi := at(l, c0, c1)
 			b := atLevel(alg.GPUDivideBatch(l, lo, hi), l)
-			gpuChain = append(gpuChain, func(next func()) { be.GPU().Submit(b, next) })
+			chain = append(chain, func(next func()) { dev.Submit(b, next) })
 		}
 		if cfg.Coalesce && tr != nil {
-			lo, hi := at(L, cCount, width)
+			lo, hi := at(L, c0, c1)
 			b := atLevel(tr.PermuteForGPU(L, lo, hi), L)
-			gpuChain = append(gpuChain, func(next func()) { be.GPU().Submit(b, next) })
+			chain = append(chain, func(next func()) { dev.Submit(b, next) })
 		}
-		gpuChain = append(gpuChain, func(next func()) {
-			lo, hi := at(L, cCount, width)
-			be.GPU().Submit(atLevel(alg.GPUBaseBatch(lo, hi), L), next)
+		chain = append(chain, func(next func()) {
+			lo, hi := at(L, c0, c1)
+			dev.Submit(atLevel(alg.GPUBaseBatch(lo, hi), L), next)
 		})
 		for l := L - 1; l >= y; l-- {
-			l := l
-			gpuChain = append(gpuChain, func(next func()) {
-				lo, hi := at(l, cCount, width)
-				be.GPU().Submit(atLevel(alg.GPUCombineBatch(l, lo, hi), l), next)
+			chain = append(chain, func(next func()) {
+				lo, hi := at(l, c0, c1)
+				dev.Submit(atLevel(alg.GPUCombineBatch(l, lo, hi), l), next)
 			})
 		}
 		if cfg.Coalesce && tr != nil {
-			gpuChain = append(gpuChain, func(next func()) {
-				lo, hi := at(y, cCount, width)
-				be.GPU().Submit(atLevel(tr.PermuteBack(y, lo, hi), y), next)
+			chain = append(chain, func(next func()) {
+				lo, hi := at(y, c0, c1)
+				dev.Submit(atLevel(tr.PermuteBack(y, lo, hi), y), next)
 			})
 		}
-		gpuChain = append(gpuChain, func(next func()) { be.TransferToCPU(bytes, next) })
-		gpuChain = append(gpuChain, func(next func()) { gpuDeviceDone = be.Now(); next() })
-		// Above the transfer level the GPU portion continues on the CPU,
+		chain = append(chain, func(next func()) { be.TransferToCPU(bytes, next) })
+		chain = append(chain, func(next func()) { st.doneAt = be.Now(); next() })
+		// Above the transfer level the stripe continues on the CPU,
 		// competing with the CPU chain for cores, as in the paper.
 		for l := y - 1; l >= s; l-- {
-			l := l
-			gpuChain = append(gpuChain, func(next func()) {
-				lo, hi := at(l, cCount, width)
+			chain = append(chain, func(next func()) {
+				lo, hi := at(l, c0, c1)
 				be.CPU().Submit(atLevel(alg.CombineBatch(l, lo, hi), l), next)
 			})
 		}
+		st.chain = chain
 	}
 
 	// Joint combine phase above the split, full width, on CPU.
@@ -547,7 +586,7 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 		tail = append(tail, func(next func()) { be.CPU().Submit(b, next) })
 	}
 
-	rep := Report{Algorithm: alg.Name(), Strategy: "advanced-hybrid"}
+	rep := Report{Algorithm: alg.Name(), Strategy: strategy(len(stripes))}
 	done := make(chan struct{})
 	var canceled bool
 
@@ -558,9 +597,16 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 			return
 		}
 		forkAt := be.Now()
-		var cpuCanceled, gpuCanceled bool
-		join := Join(2, func() {
-			if cpuCanceled || gpuCanceled {
+		var cpuCanceled bool
+		join := Join(1+len(stripes), func() {
+			anyCanceled := cpuCanceled
+			for _, st := range stripes {
+				anyCanceled = anyCanceled || st.canceled
+				if st.doneAt >= forkAt && st.doneAt-forkAt > rep.GPUPortionSeconds {
+					rep.GPUPortionSeconds = st.doneAt - forkAt
+				}
+			}
+			if anyCanceled {
 				canceled = true
 				close(done)
 				return
@@ -572,16 +618,13 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 			rep.CPUPortionSeconds = be.Now() - forkAt
 			join()
 		})
-		runSeqCtx(ctx, gpuChain, func(c bool) {
-			gpuCanceled = c
-			if gpuDeviceDone >= forkAt {
-				rep.GPUPortionSeconds = gpuDeviceDone - forkAt
-			}
-			join()
-		})
+		for d := range stripes {
+			st := &stripes[d]
+			runSeqCtx(ctx, st.chain, func(c bool) { st.canceled = c; join() })
+		}
 	})
 	awaitChain(be, done)
-	return rep, settle(ctx, be, &cfg, alg, &rep, start, canceled)
+	return rep, settle(ctx, be, cfg, alg, &rep, start, canceled)
 }
 
 // RunGPUOnlyCtx executes the whole algorithm breadth-first on the device

@@ -79,10 +79,10 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	reports := make([]Report, n) // returned to the caller: never pooled
 	// Per-run scratch is leased from the pool and handed back after the
 	// chain has fully retired (every element is written before any read).
-	depth := mempool.Ints.Get(n)     // L_m
-	leaves := mempool.Ints.Get(n)    // a^L_m
-	bytes := mempool.Int64s.Get(n)   // whole-instance transfer size
-	chunkOf := mempool.Ints.Get(n)   // transfer chunk index of each member
+	depth := mempool.Ints.Get(n)   // L_m
+	leaves := mempool.Ints.Get(n)  // a^L_m
+	bytes := mempool.Int64s.Get(n) // whole-instance transfer size
+	chunkOf := mempool.Ints.Get(n) // transfer chunk index of each member
 	rootAt := mempool.Float64s.Get(n)
 	defer func() {
 		mempool.Ints.Put(depth)

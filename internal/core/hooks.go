@@ -51,6 +51,12 @@ func instrument(be Backend, cfg *RunConfig) Backend {
 	p.cpu = &hookedUnit{p: p, inner: be.CPU()}
 	if g := be.GPU(); g != nil {
 		p.gpu = &hookedUnit{p: p, inner: g, gpu: true}
+		p.gpus = []LevelExecutor{p.gpu}
+	}
+	if m, ok := be.(MultiGPUBackend); ok && p.gpu != nil {
+		for _, g := range m.GPUs()[1:] {
+			p.gpus = append(p.gpus, &hookedUnit{p: p, inner: g, gpu: true})
+		}
 	}
 	return p
 }
@@ -66,14 +72,17 @@ func settleMeter(be Backend, makespan float64) {
 // interposer is the one Backend that delegates to another. It drops empty
 // batches, reads the clock once at each end of every batch and transfer,
 // runs the gates inside that interval, and fans the interval out to every
-// hook set. Capabilities the executors probe for (Autonomous, Closer,
-// Faulter, DeviceProber, SegmentAllocator) forward to the device.
+// hook set. Every device of a MultiGPUBackend gets its own unit, so a
+// striped run's per-device batches pass the hooks too. Capabilities the
+// executors probe for (Autonomous, Closer, Faulter, DeviceProber,
+// SegmentAllocator) forward to the device.
 type interposer struct {
 	inner    Backend
 	hooks    []Hooks
 	gated    bool
 	cpu, gpu *hookedUnit
-	meter    *runMeter // nil without WithMetrics
+	gpus     []LevelExecutor // gpu first, then the other devices' units
+	meter    *runMeter       // nil without WithMetrics
 }
 
 // CPU implements Backend.
@@ -86,6 +95,10 @@ func (p *interposer) GPU() LevelExecutor {
 	}
 	return p.gpu
 }
+
+// GPUs implements MultiGPUBackend: every device, each seen through its own
+// unit.
+func (p *interposer) GPUs() []LevelExecutor { return p.gpus }
 
 // GPUGamma implements Backend.
 func (p *interposer) GPUGamma() float64 { return p.inner.GPUGamma() }

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcerr"
 	"repro/internal/faults"
+	"repro/internal/hpu"
+	"repro/internal/metrics"
 	"repro/internal/native"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -406,5 +409,55 @@ func TestPoolDrainAddStress(t *testing.T) {
 	// count but never undershoot it.
 	if placed < jobs {
 		t.Errorf("placements sum = %d, want >= %d", placed, jobs)
+	}
+}
+
+// TestSplitOversizedStripesBothDies serves one oversized AdvancedHybrid job
+// on an idle two-die pool device: it must run striped across both dies
+// with a bit-exact result, and the server's core metrics must count the
+// GPU batches of both dies — twice those of the same job left on one die.
+func TestSplitOversizedStripesBothDies(t *testing.T) {
+	in := workload.Uniform(1<<12, 9)
+	want := slices.Clone(in)
+	slices.Sort(want)
+	run := func(split int64) (core.Report, uint64) {
+		t.Helper()
+		be, err := hpu.NewMultiSim(hpu.HPU1(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		srv, err := serve.NewPool([]core.Backend{be}, serve.WithMetrics(reg), serve.WithSplitOversized(split))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		s, err := mergesort.New(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: s, Strategy: serve.AdvancedHybrid, Alpha: 0.5, Y: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := h.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(s.Result(), want) {
+			t.Fatalf("split=%d: result is not the sorted input", split)
+		}
+		return rep, reg.Histogram(core.MetricGPUBatchSeconds).Count()
+	}
+	one, oneBatches := run(0)
+	if one.Strategy != "advanced-hybrid" {
+		t.Fatalf("unsplit strategy %q, want advanced-hybrid", one.Strategy)
+	}
+	rep, batches := run(4 << 10)
+	if rep.Strategy != "advanced-2gpu" {
+		t.Errorf("strategy %q, want advanced-2gpu", rep.Strategy)
+	}
+	if oneBatches == 0 || batches != 2*oneBatches {
+		t.Errorf("core metrics counted %d GPU batches striped, %d on one die; want twice as many striped", batches, oneBatches)
 	}
 }
